@@ -134,6 +134,17 @@ if [ "$QUICK" != "quick" ]; then
   done
   diff -u "$SYNTH/j1/stdout.txt" "$SYNTH/j2/stdout.txt"
   diff -r "$SYNTH/j1/results" "$SYNTH/j2/results"
+  # Livelocked oracle runs (SW+ stores bouncing forever while the cores
+  # spin) must stop at the machine's watchdog as `oracle:deadlock`, not
+  # be simulated to the explorer's 1M-cycle budget.
+  mkdir -p "$SYNTH/traced"
+  ( cd "$SYNTH/traced" && \
+    ASF_PROGRESS=0 "$OLDPWD/target/release/synth" --quick \
+      --trace "$SYNTH/traced/trace.json" > stdout.txt )
+  if grep -q "oracle:cycle-limit" "$SYNTH/traced/trace.json"; then
+    echo "FATAL: synthesis oracle runs hit the cycle limit instead of the watchdog" >&2
+    exit 1
+  fi
 fi
 
 echo "== inference smoke (analyze --quick, jobs=2 == jobs=1, byte-for-byte) =="

@@ -216,8 +216,12 @@ pub struct MachineConfig {
     pub bounce_retry_cycles: u64,
     /// W+ deadlock-suspicion timeout, in cycles.
     pub w_timeout_cycles: u64,
-    /// Cycles the machine may make no global progress before the watchdog
-    /// declares deadlock (used to demonstrate `WfOnlyUnsafe`).
+    /// The watchdog horizon, in cycles. The machine declares deadlock when
+    /// no core makes global progress for this long (a true deadlock, as
+    /// `WfOnlyUnsafe` demonstrates), or when some core's write buffer
+    /// drains nothing for this long while other instructions keep
+    /// retiring (a store-drain livelock: stores bouncing forever under a
+    /// design without W+'s timeout and rollback, such as SW+).
     pub watchdog_cycles: u64,
     /// Whether to keep the perform-order log needed by the SCV checker.
     pub record_scv_log: bool,
@@ -475,7 +479,7 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Sets the global-progress watchdog horizon.
+    /// Sets the watchdog horizon (global progress and store drain).
     pub fn watchdog_cycles(mut self, n: u64) -> Self {
         self.cfg.watchdog_cycles = n;
         self

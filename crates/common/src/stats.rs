@@ -264,8 +264,10 @@ pub struct MachineStats {
     pub cores: Vec<CoreStats>,
     /// Network traffic.
     pub traffic: TrafficStats,
-    /// Whether the deadlock watchdog fired (only possible under
-    /// `WfOnlyUnsafe` or a mis-grouped WS+ program).
+    /// Whether the watchdog fired: a global deadlock (only possible under
+    /// `WfOnlyUnsafe` or a mis-grouped WS+ program) or a store-drain
+    /// livelock (stores bouncing forever, e.g. SW+ with weak fences on
+    /// both sides of a group).
     pub deadlocked: bool,
 }
 

@@ -5,7 +5,10 @@
 //! them cycle by cycle. It merges the statistics the paper's evaluation
 //! reports and detects global deadlock (which only the deliberately
 //! unprotected `WfOnlyUnsafe` design — or a mis-grouped WS+ program — can
-//! reach).
+//! reach) as well as store-drain livelock: a write buffer that drains
+//! nothing for the whole watchdog horizon while other instructions keep
+//! retiring (SW+ has no W+-style timeout, so two cores can bounce each
+//! other's stores forever while spinning on loads).
 //!
 //! The kernel is event-driven: executed cycles run the exact lock-step
 //! `step`, but between steps [`Machine::run`] consults every component's
@@ -34,9 +37,20 @@ pub enum RunOutcome {
     Finished,
     /// The cycle limit was reached (expected for throughput runs).
     CycleLimit,
-    /// No core made progress for the watchdog horizon.
+    /// The watchdog declared that the run cannot finish: either no core
+    /// made progress for `watchdog_cycles` (a global deadlock, reported
+    /// in the step the horizon is first exceeded), or some core's write
+    /// buffer drained nothing for more than `watchdog_cycles` while the
+    /// machine kept retiring instructions (a store-drain livelock,
+    /// reported at a progress step up to `LIVELOCK_CHECK_EVERY` cycles
+    /// after the horizon).
     Deadlocked,
 }
+
+/// How often, in cycles, a progress step checks the write buffers for
+/// store-drain livelock. The check only has to fire eventually, so it
+/// runs at this coarse cadence rather than every step.
+const LIVELOCK_CHECK_EVERY: Cycle = 1024;
 
 /// A program that finishes immediately (installed on cores without a
 /// thread).
@@ -86,6 +100,8 @@ pub struct Machine {
     scv_log: Option<ScvLog>,
     last_progress_cycle: Cycle,
     last_progress_value: u64,
+    /// First cycle at which a progress step runs the livelock check.
+    next_livelock_check: Cycle,
     deadlocked: bool,
     /// Per-core cached scheduling hint: the earliest cycle at which
     /// ticking core `i` could change anything, assuming no memory event
@@ -136,6 +152,7 @@ impl Machine {
             scv_log,
             last_progress_cycle: 0,
             last_progress_value: 0,
+            next_livelock_check: 0,
             deadlocked: false,
             wake: vec![0; num_cores],
             skipped: vec![0; num_cores],
@@ -170,6 +187,7 @@ impl Machine {
         self.scv_log = cfg.record_scv_log.then(ScvLog::new);
         self.last_progress_cycle = 0;
         self.last_progress_value = 0;
+        self.next_livelock_check = 0;
         self.deadlocked = false;
         self.wake.fill(0);
         self.skipped.fill(0);
@@ -264,10 +282,30 @@ impl Machine {
         if progress != self.last_progress_value {
             self.last_progress_value = progress;
             self.last_progress_cycle = now;
+            // Store-drain livelock is checked only in progress steps (a
+            // true deadlock has none, so the branch below keeps its
+            // exact firing cycle) and only every `LIVELOCK_CHECK_EVERY`
+            // cycles (the hot path pays one comparison).
+            if now >= self.next_livelock_check {
+                self.next_livelock_check = now + LIVELOCK_CHECK_EVERY;
+                self.deadlocked |= self.store_livelocked(now);
+            }
         } else if !self.is_finished() && now - self.last_progress_cycle > self.cfg.watchdog_cycles
         {
             self.deadlocked = true;
         }
+    }
+
+    /// Whether some core's write buffer has drained nothing for more than
+    /// the watchdog horizon. Called only from progress steps, where the
+    /// rest of the machine is still retiring: such a store bounces
+    /// forever and the run can never finish.
+    fn store_livelocked(&self, now: Cycle) -> bool {
+        let horizon = self.cfg.watchdog_cycles;
+        self.cores.iter().any(|c| {
+            c.wb_stuck_since()
+                .is_some_and(|since| now - since > horizon)
+        })
     }
 
     /// Jumps `now` to the next cycle at which anything can happen: the
@@ -484,6 +522,7 @@ mod tests {
         m.add_thread(Box::new(side(0x00, 0x40, 0x1000)));
         m.add_thread(Box::new(side(0x40, 0x00, 0x1100)));
         assert_eq!(m.run(1_000_000), RunOutcome::Deadlocked);
+        assert_eq!(m.now(), 5_846);
         assert!(m.stats().deadlocked);
     }
 

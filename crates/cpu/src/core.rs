@@ -137,6 +137,10 @@ pub struct Core {
     /// (cached count of `wb` entries with `issued.is_some()`, so the
     /// per-cycle drain and the scheduling hint never rescan the buffer).
     wb_inflight: usize,
+    /// Cycle of the write buffer's last drain event: a store entering
+    /// the empty buffer, a `StoreDone`, or a W+ rollback. Meaningful
+    /// only while the buffer is non-empty (see [`Core::wb_stuck_since`]).
+    wb_stuck_since: Cycle,
     instr_seq: u64,
 
     next_store_serial: u64,
@@ -195,6 +199,7 @@ impl Core {
             rob,
             wb,
             wb_inflight: 0,
+            wb_stuck_since: 0,
             instr_seq: 0,
             next_store_serial: 1,
             completed_store_serial: 0,
@@ -227,6 +232,7 @@ impl Core {
         self.rob.clear();
         self.wb.clear();
         self.wb_inflight = 0;
+        self.wb_stuck_since = 0;
         self.instr_seq = 0;
         self.next_store_serial = 1;
         self.completed_store_serial = 0;
@@ -311,6 +317,16 @@ impl Core {
     /// Monotonic progress marker for the machine's deadlock watchdog.
     pub fn progress_marker(&self) -> u64 {
         self.stats.instrs_retired + self.completed_store_serial + self.stats.recoveries
+    }
+
+    /// The cycle since which the write buffer has held a store without
+    /// draining any, or `None` when it is empty. The clock restarts when
+    /// a store enters the empty buffer, when any buffered store
+    /// completes, and on a W+ rollback, so the machine's watchdog can
+    /// tell a store that bounces forever (while this or another core
+    /// keeps retiring spin loads) from one that is merely slow.
+    pub fn wb_stuck_since(&self) -> Option<Cycle> {
+        (!self.wb.is_empty()).then_some(self.wb_stuck_since)
     }
 
     fn resolve_fence(&self, role: FenceRole, site: FenceSite) -> HwFence {
@@ -417,6 +433,7 @@ impl Core {
                             w
                         });
                     if let Some(w) = hit {
+                        self.wb_stuck_since = now;
                         self.completed_ahead.push(w.serial);
                         loop {
                             let next = self.completed_store_serial + 1;
@@ -648,6 +665,9 @@ impl Core {
                         self.cfg.line_bytes,
                     );
                     let ready_at = now + mem.wb_drain_stall(self.id, serial, line);
+                    if self.wb.is_empty() {
+                        self.wb_stuck_since = now;
+                    }
                     self.wb.push_back(WbEntry {
                         addr,
                         value,
@@ -1026,6 +1046,7 @@ impl Core {
             .unwrap_or(self.next_store_serial - 1);
         self.wb.retain(|w| w.serial <= watermark);
         self.wb_inflight = self.wb.iter().filter(|w| w.issued.is_some()).count();
+        self.wb_stuck_since = now;
         self.next_store_serial = watermark + 1;
         self.completed_ahead.retain(|s| *s <= watermark);
         self.bounced_inflight.clear();

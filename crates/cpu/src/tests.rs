@@ -594,3 +594,38 @@ fn merge_width_never_issues_past_an_incomplete_weak_fence() {
     assert_eq!(mem.backdoor_read(Y), 2);
     assert_eq!(cores[0].stats().wf_count, 1);
 }
+
+#[test]
+fn wb_stuck_since_restarts_at_every_drain_event() {
+    // The clock starts when the first store enters the empty buffer,
+    // restarts when that store completes (the second is still
+    // buffered), and clears once the buffer is empty.
+    let c = MachineConfig::builder().cores(1).build();
+    let (p, _) = ScriptProgram::new(vec![
+        Instr::Store { addr: X, value: 1 },
+        Instr::Store { addr: Y, value: 2 },
+    ]);
+    let mut mem = MemSystem::new(&c);
+    let mut core = Core::new(CoreId(0), &c, Box::new(p));
+    assert_eq!(core.wb_stuck_since(), None);
+    let mut starts = Vec::new();
+    for t in 0..100_000 {
+        let before = core.wb_stuck_since();
+        core.tick(t, &mut mem, None);
+        mem.tick(t);
+        match core.wb_stuck_since() {
+            Some(since) if Some(since) != before => {
+                assert_eq!(since, t, "the clock restarts at the event's cycle");
+                starts.push(since);
+            }
+            _ => {}
+        }
+        if core.is_done() {
+            break;
+        }
+    }
+    assert!(core.is_done());
+    assert_eq!(core.wb_stuck_since(), None);
+    assert_eq!(starts.len(), 2, "buffer entry, then one StoreDone");
+    assert!(starts[0] < starts[1]);
+}

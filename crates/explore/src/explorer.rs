@@ -101,7 +101,9 @@ pub enum Failure {
         /// Human-readable cycle walk.
         report: String,
     },
-    /// The machine's watchdog declared no forward progress.
+    /// The machine's watchdog declared that the run cannot finish: no
+    /// global progress, or a write buffer that drained nothing for the
+    /// whole horizon while the cores kept retiring (store-drain livelock).
     Deadlock,
     /// The run exhausted its cycle budget.
     CycleLimit,
@@ -111,7 +113,11 @@ impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Failure::Scv { report } => write!(f, "{report}"),
-            Failure::Deadlock => write!(f, "machine deadlocked (watchdog fired)"),
+            Failure::Deadlock => write!(
+                f,
+                "machine deadlocked or livelocked (watchdog fired: no global progress, \
+                 or a store never drained)"
+            ),
             Failure::CycleLimit => write!(f, "machine exceeded its cycle budget"),
         }
     }

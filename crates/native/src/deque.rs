@@ -16,6 +16,13 @@
 //! store and the tail store. C11 `Relaxed` makes no such promise, so the
 //! native `push` publishes the tail with `Release` and thieves read it
 //! with `Acquire`.
+//!
+//! The ring keeps one slot more than the deque's capacity. A thief
+//! publishes `head + 1` before it reads `slot(head)`, so an owner `push`
+//! that sees the optimistic head counts one task too few. With a ring of
+//! exactly `capacity` slots that push could then write the very slot the
+//! thief is about to read, handing one task out twice and losing another.
+//! The spare slot keeps the slot being stolen out of `push`'s reach.
 
 use crate::pair::FencePair;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,13 +67,19 @@ impl<P: FencePair> TheDeque<P> {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             lock: Mutex::new(()),
-            slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
+            // One spare slot: see the module docs.
+            slots: (0..=capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
             pair,
         }
     }
 
     fn slot(&self, index: u64) -> &AtomicU64 {
         &self.slots[index as usize % self.slots.len()]
+    }
+
+    /// Most tasks the deque holds at once (one less than the ring).
+    fn capacity(&self) -> u64 {
+        self.slots.len() as u64 - 1
     }
 
     /// Owner-only: appends `task` at the tail. Returns false when the
@@ -82,8 +95,11 @@ impl<P: FencePair> TheDeque<P> {
         let h = self.head.load(Ordering::Relaxed);
         // A thief's optimistic head increment can transiently pass the
         // tail; treat that (None) as full too — it only costs a retry.
+        // `h` may be that optimistic head, so `slot(t)` can be at most
+        // `capacity` past the slot the thief is reading: the spare slot
+        // keeps the two apart.
         match t.checked_sub(h) {
-            Some(live) if live < self.slots.len() as u64 => {}
+            Some(live) if live < self.capacity() => {}
             _ => return false,
         }
         self.slot(t).store(task, Ordering::Relaxed);

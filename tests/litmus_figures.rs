@@ -72,12 +72,44 @@ fn fig1f_three_fences_prevent_the_three_thread_cycle() {
 
 #[test]
 fn fig3a_unprotected_weak_fences_deadlock() {
-    let (outcome, _, _) = run(
-        FenceDesign::WfOnlyUnsafe,
-        litmus::store_buffering(Some((Critical, Critical))),
-        10_000_000,
-    );
-    assert_eq!(outcome, RunOutcome::Deadlocked);
+    let setup = litmus::store_buffering(Some((Critical, Critical)));
+    let mut m = Machine::new(&machine_for(&setup, FenceDesign::WfOnlyUnsafe));
+    for p in setup.0 {
+        m.add_thread(p);
+    }
+    assert_eq!(m.run(10_000_000), RunOutcome::Deadlocked);
+    // A genuine deadlock has no progress steps, so the store-drain check
+    // never runs and the watchdog fires at its exact horizon.
+    assert_eq!(m.now(), 30_846);
+}
+
+/// Dekker under SW+ with both entry fences weak (mask `0b101` over
+/// `t0.entry, t0.backoff, t1.entry, t1.backoff`): both cores keep
+/// retiring spin loads while their flag stores bounce off each other's
+/// Bypass Sets forever (SW+ has no W+ timeout). The synthesis oracle
+/// builds exactly this machine; the watchdog must stop it near its
+/// horizon instead of simulating to the explorer's 1M-cycle budget.
+#[test]
+fn sw_plus_store_bounce_livelock_stops_at_the_watchdog() {
+    use asymfence_suite::workloads::sites::SiteBench;
+    let bench = SiteBench::Dekker;
+    let watchdog = 20_000;
+    let mut cfg = MachineConfig::builder()
+        .cores(bench.cores())
+        .fence_design(FenceDesign::SwPlus)
+        .seed(0)
+        .record_scv_log(true)
+        .watchdog_cycles(watchdog)
+        .build();
+    let sites: Vec<u32> = bench.sites(&cfg).iter().map(|s| s.site.raw()).collect();
+    cfg.fence_assignment = Some(FenceAssignment::from_weak_mask(&sites, 0b101));
+    let mut m = Machine::new(&cfg);
+    for p in bench.programs(&cfg, 0) {
+        m.add_thread(p);
+    }
+    assert_eq!(m.run(1_000_000), RunOutcome::Deadlocked);
+    assert!(m.stats().deadlocked);
+    assert!(m.now() < 2 * watchdog, "stopped at cycle {}", m.now());
 }
 
 #[test]
