@@ -226,7 +226,10 @@ cargo run -q --release --offline -p asymfence-explore --bin explore -- \
 cargo run -q --release --offline -p asymfence-explore --bin explore -- \
   --scenario 3cycle --design all --seeds 64
 
-echo "== benches compile (offline) =="
-cargo build --offline --benches --workspace
+echo "== perfbench builds (offline) =="
+# The benchmark is a Cargo package of its own that links the workspace
+# crates by path; neither the workspace build nor its tests compile it,
+# so a workspace API change that breaks it would otherwise go unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

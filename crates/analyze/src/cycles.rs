@@ -9,8 +9,7 @@
 //! the exact stored word is satisfied from the buffer and can never
 //! observe the reordering).
 //!
-//! A window alone is harmless. Following Shasha & Snir — and the delay
-//! sets already used for static programs in `asymfence::placement` — a
+//! A window alone is harmless. Following Shasha & Snir's delay sets, a
 //! reordering is observable only on a **critical cycle**: windows on
 //! distinct threads chained so each window's early load reads a line
 //! another window's delayed store writes, closing back on itself. We

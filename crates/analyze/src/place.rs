@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use asymfence::prelude::MachineConfig;
+use asymfence::prelude::{MachineConfig, ThreadProgram};
 use asymfence_common::assign::synthetic_site;
 use asymfence_common::ids::Addr;
 use asymfence_common::placement::{PlacedFence, Placement};
@@ -71,17 +71,85 @@ pub fn analyze(kernel: InferredKernel, seed: u64) -> Analysis {
 /// [`analyze`] against an explicit machine config (the line size is the
 /// one knob that matters: windows and triggers are line-granular).
 pub fn analyze_with(kernel: InferredKernel, cfg: &MachineConfig, seed: u64) -> Analysis {
+    let i = infer(&|variant| kernel.programs(cfg, seed ^ variant), cfg, kernel.name());
+    Analysis {
+        kernel,
+        placement: i.placement,
+        windows: i.windows,
+        critical: i.critical,
+        cycles: i.cycles,
+        bounded: i.bounded,
+        dropped_dead: i.dropped_dead,
+        steps: i.steps,
+    }
+}
+
+/// Infers the minimal fence placement for any fence-free program.
+/// `build(variant)` must return fresh thread programs (one per machine
+/// thread) for each schedule variant `0..`[`interp::VARIANTS`]; the
+/// result installs with
+/// [`FencedProgram`](asymfence::cpu::insert::FencedProgram) via
+/// [`Placement::spec`].
+///
+/// # Examples
+///
+/// ```
+/// use asymfence::prelude::*;
+/// use asymfence_analyze::infer_placement;
+///
+/// // Store buffering: St x; Ld y || St y; Ld x.
+/// let side = |mine: u64, other: u64| -> Box<dyn ThreadProgram> {
+///     Box::new(ScriptProgram::new(vec![
+///         Instr::Store { addr: Addr::new(mine), value: 1 },
+///         Instr::Load { addr: Addr::new(other), tag: None },
+///     ]).0)
+/// };
+/// let cfg = MachineConfig::builder().cores(2).build();
+/// let placement = infer_placement(|_| vec![side(0x00, 0x40), side(0x40, 0x00)], &cfg);
+/// let threads: Vec<usize> = placement.fences.iter().map(|f| f.thread).collect();
+/// assert_eq!(threads, vec![0, 1], "one fence per thread");
+/// ```
+///
+/// # Panics
+///
+/// Panics if some variant does not finish under SC within
+/// [`interp::STEP_CAP`] steps (the program is broken independent of
+/// fences).
+pub fn infer_placement(
+    build: impl Fn(u64) -> Vec<Box<dyn ThreadProgram>>,
+    cfg: &MachineConfig,
+) -> Placement {
+    infer(&build, cfg, "program").placement
+}
+
+/// What the pipeline produced for one program ([`Analysis`] minus the
+/// kernel).
+struct Inference {
+    placement: Placement,
+    windows: Vec<WindowInfo>,
+    critical: Vec<usize>,
+    cycles: u64,
+    bounded: u64,
+    dropped_dead: usize,
+    steps: u64,
+}
+
+/// The pipeline behind [`analyze_with`] and [`infer_placement`]; `name`
+/// only labels the panic of a program that does not finish.
+fn infer(
+    build: &dyn Fn(u64) -> Vec<Box<dyn ThreadProgram>>,
+    cfg: &MachineConfig,
+    name: &str,
+) -> Inference {
     // 1. Footprint recovery: one SC run per schedule variant.
     let mut runs = Vec::new();
     let mut steps = 0;
     for variant in 0..interp::VARIANTS {
-        let programs = kernel.programs(cfg, seed ^ variant);
-        let r = interp::run_programs(programs, variant, interp::STEP_CAP);
+        let r = interp::run_programs(build(variant), variant, interp::STEP_CAP);
         assert!(
             r.finished,
-            "{} did not finish under SC (variant {variant}); the kernel is broken \
+            "{name} did not finish under SC (variant {variant}); the kernel is broken \
              independent of fences",
-            kernel.name()
         );
         steps += r.steps;
         runs.push(r);
@@ -178,8 +246,7 @@ pub fn analyze_with(kernel: InferredKernel, cfg: &MachineConfig, seed: u64) -> A
         })
         .collect();
 
-    Analysis {
-        kernel,
+    Inference {
         placement: Placement {
             fences,
             line_bytes: cfg.line_bytes,

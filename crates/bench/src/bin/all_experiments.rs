@@ -4,14 +4,10 @@
 //! handling lives in [`asymfence_bench::cli`] and all simulation in the
 //! shared run engine ([`asymfence_bench::runner`]).
 
-use asymfence_bench::{cli, figures, metrics, micro, ReportSink};
+use asymfence_bench::{cli, figures, metrics, ReportSink};
 
 fn main() {
     let (runner, opts) = cli::parse("all_experiments");
-    if let Some(reps) = opts.micro {
-        micro::report(reps);
-        return;
-    }
     figures::all(&runner, &opts, &mut ReportSink::stdout());
     metrics::write_if_requested(&runner, &opts);
 }

@@ -42,11 +42,6 @@ pub struct Opts {
     /// JSON to this path when the run finishes. Off by default; never
     /// changes the figure output (the snapshot note goes to stderr).
     pub metrics: Option<String>,
-    /// `--micro N`: skip the figures and run the kernel microbenchmark
-    /// instead — one fixed workload/design simulated `N` times on this
-    /// thread's pooled machine, with per-rep and aggregate simulated
-    /// cycles/s reported to stderr (see [`crate::micro`]).
-    pub micro: Option<u64>,
 }
 
 impl Opts {
@@ -144,16 +139,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
                 opts.metrics = Some(value(i)?.clone());
                 i += 2;
             }
-            "--micro" => {
-                let n = value(i)?
-                    .parse::<u64>()
-                    .map_err(|_| "--micro needs a repetition count".to_string())?;
-                if n == 0 {
-                    return Err("--micro needs at least one repetition".to_string());
-                }
-                opts.micro = Some(n);
-                i += 2;
-            }
             "--quick" => {
                 opts.quick = true;
                 i += 1;
@@ -168,7 +153,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
 /// Usage text shared by the bench binaries.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--jobs N] [--designs s+,ws+,sw+,w+,wee] [--filter SUBSTR] [--quick] [--trace PATH] [--metrics PATH] [--micro N]\n\
+        "usage: {bin} [--jobs N] [--designs s+,ws+,sw+,w+,wee] [--filter SUBSTR] [--quick] [--trace PATH] [--metrics PATH]\n\
          \x20 --jobs N        worker threads (default: ASF_JOBS, then all cores)\n\
          \x20 --designs LIST  designs to report (S+ always runs as the baseline)\n\
          \x20 --filter SUBSTR only workloads whose name contains SUBSTR\n\
@@ -177,8 +162,6 @@ pub fn usage(bin: &str) -> String {
          \x20 --metrics PATH  write a harness-telemetry snapshot (JSON) to PATH;\n\
          \x20                 compare snapshots with `perfdiff` (ASF_TELEMETRY_DETERMINISTIC=1\n\
          \x20                 masks wall-clock for byte-stable baselines)\n\
-         \x20 --micro N       kernel microbenchmark: simulate one fixed workload N\n\
-         \x20                 times on the pooled machine, cycles/s to stderr\n\
          progress lines go to stderr; ASF_PROGRESS=0 silences, =1 forces"
     )
 }
@@ -262,16 +245,6 @@ mod tests {
         let (_, opts) = parse_args(s(&[])).unwrap();
         assert!(opts.trace.is_none());
         assert!(opts.metrics.is_none());
-        assert!(opts.micro.is_none());
-    }
-
-    #[test]
-    fn micro_needs_a_positive_count() {
-        let (_, opts) = parse_args(s(&["--micro", "5"])).unwrap();
-        assert_eq!(opts.micro, Some(5));
-        assert!(parse_args(s(&["--micro", "0"])).is_err());
-        assert!(parse_args(s(&["--micro", "lots"])).is_err());
-        assert!(parse_args(s(&["--micro"])).is_err());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! module is the read side: [`read_dir_logs`] loads every
 //! `shard-*.jsonl` in a directory, and [`merge_dir`] folds the union of
 //! their [`CellRecord`]s — deduplicated by grid index, validated for
-//! completeness — into a snapshot using *exactly* the
-//! [`Collector`](crate::metrics::Collector) aggregation, in grid-index
-//! order. Because cell records are deterministic (simulation counters
-//! always; wall-clock masked at journal time in deterministic mode), a
-//! 3-shard merge, a 1-shard merge, and a kill-resume-merge all produce
+//! completeness — into a snapshot by replaying them through a
+//! [`Collector`] ([`Collector::record_cell`]) in grid-index order.
+//! Because cell records are deterministic (simulation counters always;
+//! wall-clock masked at journal time in deterministic mode), a 3-shard
+//! merge, a 1-shard merge, and a kill-resume-merge all produce
 //! byte-identical JSON.
 
 use std::path::Path;
@@ -19,12 +19,9 @@ use asymfence::prelude::{FenceClass, TraceSink};
 use asymfence_common::ledger::{
     read_shard_log, CellRecord, ShardLog, SHARD_FILE_PREFIX, SHARD_FILE_SUFFIX,
 };
-use asymfence_common::telemetry::{
-    BenchSnapshot, FenceLatencySummary, MetricEntry, ShardTelemetry,
-};
-use asymfence_common::trace::FenceTally;
-use asymfence_common::MachineStats;
+use asymfence_common::telemetry::{BenchSnapshot, PoolTelemetry, ShardTelemetry};
 
+use crate::metrics::Collector;
 use crate::shard::{SweepCell, HEARTBEAT_CELLS};
 use crate::RunResult;
 
@@ -56,12 +53,14 @@ pub fn cell_record(
 
 /// Loads every `shard-<id>.jsonl` ledger in `dir`, sorted by shard id.
 /// Files whose names don't match the pattern are ignored; a missing or
-/// empty directory yields an empty list.
+/// empty directory yields an empty list. Any other listing failure (a
+/// file in place of the directory, no permission) is an error.
 pub fn read_dir_logs(dir: &Path) -> Result<Vec<(u64, ShardLog)>, String> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
-        Err(_) => return Ok(out),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
+        Err(e) => return Err(format!("cannot list {}: {e}", dir.display())),
     };
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
@@ -95,24 +94,6 @@ pub struct MergeOutcome {
     pub skipped_unknown: u64,
     /// Torn tail bytes discarded during recovery, summed across shards.
     pub torn_bytes: u64,
-}
-
-// Mirror of the Collector's private per-cell aggregate: same key, same
-// accumulation, same rendering below. `sweep_ledger.rs` pins the two
-// folds byte-identical.
-struct EntryAgg {
-    section: String,
-    workload: String,
-    design: String,
-    runs: u64,
-    wall_ns: u64,
-    wall_min_ns: u64,
-    wall_max_ns: u64,
-    cycles: u64,
-    commits: u64,
-    aborts: u64,
-    stats: MachineStats,
-    tallies: [FenceTally; 3],
 }
 
 /// Merges every shard ledger in `dir` into a complete-grid
@@ -191,47 +172,11 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
 
     // The Collector fold, in grid-index order (the order a
     // single-process run records in).
-    let mut entries: Vec<EntryAgg> = Vec::new();
+    let collector = Collector::new(deterministic);
     for cell in &cells {
-        let idx = match entries.iter().position(|e| {
-            e.section == cell.section && e.workload == cell.workload && e.design == cell.design
-        }) {
-            Some(i) => i,
-            None => {
-                entries.push(EntryAgg {
-                    section: cell.section.clone(),
-                    workload: cell.workload.clone(),
-                    design: cell.design.clone(),
-                    runs: 0,
-                    wall_ns: 0,
-                    wall_min_ns: u64::MAX,
-                    wall_max_ns: 0,
-                    cycles: 0,
-                    commits: 0,
-                    aborts: 0,
-                    stats: MachineStats::default(),
-                    tallies: Default::default(),
-                });
-                entries.len() - 1
-            }
-        };
-        let agg = &mut entries[idx];
-        agg.runs += 1;
-        agg.wall_ns += cell.wall_ns;
-        agg.wall_min_ns = agg.wall_min_ns.min(cell.wall_ns);
-        agg.wall_max_ns = agg.wall_max_ns.max(cell.wall_ns);
-        agg.cycles += cell.cycles;
-        agg.commits += cell.commits;
-        agg.aborts += cell.aborts;
-        agg.stats.merge(&cell.stats);
-        for i in 0..FenceClass::ALL.len() {
-            agg.tallies[i].merge(&cell.tallies[i]);
-        }
+        collector.record_cell(cell);
     }
-
-    let mut snap = BenchSnapshot::new(label);
-    snap.deterministic = deterministic;
-    snap.quick = quick;
+    let mut snap = collector.snapshot(label, quick);
     // A merged snapshot's harness wall is the sum of per-cell walls
     // (CPU-seconds of simulation, not elapsed time of any one process);
     // cell walls are already 0 in deterministic mode.
@@ -247,6 +192,9 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
     };
     // Pool counters are per-process; a merge has no meaningful union, so
     // they stay at the deterministic-mode default.
+    snap.pool = PoolTelemetry::default();
+    // The replay entered no section, so phases start empty: each
+    // section's phase is the sum of its cells' walls.
     for cell in &cells {
         match snap.phases.iter_mut().find(|(name, _)| name == &cell.section) {
             Some((_, ns)) => *ns += cell.wall_ns,
@@ -265,29 +213,6 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
             heartbeat_cells: HEARTBEAT_CELLS as u64,
         })
     };
-    for agg in &entries {
-        let mut e = MetricEntry::new(&agg.section, &agg.workload, &agg.design);
-        e.runs = agg.runs;
-        e.sim_cycles = agg.cycles;
-        e.instrs_retired = agg.stats.aggregate().instrs_retired;
-        e.commits = agg.commits;
-        e.aborts = agg.aborts;
-        e.wall_ns = agg.wall_ns;
-        e.task_wall_min_ns = if agg.wall_min_ns == u64::MAX {
-            0
-        } else {
-            agg.wall_min_ns
-        };
-        e.task_wall_max_ns = agg.wall_max_ns;
-        e.derived = agg.stats.derived();
-        for (i, class) in FenceClass::ALL.iter().enumerate() {
-            if agg.tallies[i].issued > 0 {
-                e.fences
-                    .push(FenceLatencySummary::from_tally(class.label(), &agg.tallies[i]));
-            }
-        }
-        snap.entries.push(e);
-    }
 
     Ok(MergeOutcome {
         snapshot: snap,
@@ -295,4 +220,97 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
         skipped_unknown: logs.iter().map(|(_, log)| log.skipped_unknown).sum(),
         torn_bytes: logs.iter().map(|(_, log)| log.torn_bytes).sum(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asymfence_common::ledger::{
+        append_record, shard_path, ClaimRecord, HeartbeatRecord, Record,
+    };
+    use asymfence_common::MachineStats;
+
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("asf-ledger-{tag}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn only_a_missing_directory_reads_as_empty() {
+        let path = temp_path("listing");
+        assert!(read_dir_logs(&path).unwrap().is_empty(), "no sweep yet");
+        std::fs::write(&path, b"not a directory").unwrap();
+        let err = read_dir_logs(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.starts_with("cannot list"), "{err}");
+    }
+
+    #[test]
+    fn timed_merge_sums_walls_and_keeps_the_fleet_blocks() {
+        let dir = temp_path("timed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut file = std::fs::File::create(shard_path(&dir, 0)).unwrap();
+        let claim = |resume| {
+            Record::Claim(ClaimRecord {
+                shard: 0,
+                shards: 1,
+                grid: "tiny".to_string(),
+                cells: 3,
+                owned: 3,
+                resume,
+                deterministic: false,
+                quick: true,
+                pid: 1,
+            })
+        };
+        let heartbeat = |peak_rss_bytes| {
+            Record::Heartbeat(HeartbeatRecord {
+                shard: 0,
+                done: 1,
+                owned: 3,
+                sim_cycles: 0,
+                wall_ns: 0,
+                peak_rss_bytes,
+                ts_ms: 0,
+            })
+        };
+        let cell = |index, section: &str, wall_ns| {
+            Record::Cell(Box::new(CellRecord {
+                index,
+                section: section.to_string(),
+                workload: "w".to_string(),
+                design: "S+".to_string(),
+                cycles: 10,
+                commits: 0,
+                aborts: 0,
+                scv: false,
+                wall_ns,
+                stats: MachineStats::default(),
+                tallies: Default::default(),
+            }))
+        };
+        // A first life journals one cell, a resumed life the other two.
+        for rec in [
+            claim(0),
+            cell(0, "a", 100),
+            heartbeat(9),
+            claim(1),
+            cell(1, "a", 20),
+            heartbeat(5),
+            cell(2, "b", 3),
+        ] {
+            append_record(&mut file, &rec).unwrap();
+        }
+        let snap = merge_dir(&dir, "timed").unwrap().snapshot;
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        assert_eq!(snap.total_wall_ns, 123, "sum of cell walls");
+        assert_eq!(snap.peak_rss_bytes, 9, "largest heartbeat RSS");
+        assert_eq!(snap.pool, PoolTelemetry::default());
+        assert_eq!(snap.phases, vec![("a".to_string(), 120), ("b".to_string(), 3)]);
+        let shard = snap.shard.expect("timed merges carry the shard block");
+        assert_eq!((shard.shards, shard.resumes), (1, 1));
+        let a = snap.entry("a", "w", "S+").unwrap();
+        assert_eq!((a.runs, a.sim_cycles, a.wall_ns), (2, 20, 120));
+        assert_eq!((a.task_wall_min_ns, a.task_wall_max_ns), (20, 100));
+    }
 }

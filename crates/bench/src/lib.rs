@@ -33,15 +33,11 @@
 //! | `sweep` | sharded sweeps: durable run ledger ([`ledger`]), crash-safe shards ([`shard`]), fleet dashboard ([`status`]) |
 
 use asymfence::prelude::*;
-use asymfence_workloads::cilk::CilkApp;
-use asymfence_workloads::stamp::StampApp;
-use asymfence_workloads::ustm::UstmBench;
 
 pub mod cli;
 pub mod figures;
 pub mod ledger;
 pub mod metrics;
-pub mod micro;
 pub mod native;
 pub mod pool;
 pub mod report;
@@ -121,183 +117,15 @@ impl RunResult {
     }
 }
 
-/// Runs one CilkApp to completion (thin wrapper over
-/// [`RunSpec::execute`]).
-///
-/// # Panics
-///
-/// Panics if the run deadlocks or exceeds the cycle ceiling.
-pub fn run_cilk(app: CilkApp, design: FenceDesign, cores: usize, seed: u64) -> RunResult {
-    RunSpec::cilk(app, design, cores, seed).execute()
-}
-
-/// Runs one ustm microbenchmark for a fixed simulated window and counts
-/// committed transactions (thin wrapper over [`RunSpec::execute`]).
-pub fn run_ustm(
-    bench: UstmBench,
-    design: FenceDesign,
-    cores: usize,
-    seed: u64,
-    window: u64,
-) -> RunResult {
-    RunSpec::ustm(bench, design, cores, seed, window).execute()
-}
-
-/// Runs one STAMP app to completion (thin wrapper over
-/// [`RunSpec::execute`]).
-///
-/// # Panics
-///
-/// Panics if the run deadlocks or exceeds the cycle ceiling.
-pub fn run_stamp(app: StampApp, design: FenceDesign, cores: usize, seed: u64) -> RunResult {
-    RunSpec::stamp(app, design, cores, seed).execute()
-}
-
-/// Minimal in-repo wall-clock benchmarking, replacing the external
-/// criterion dependency (which cannot build offline). Used by the
-/// `benches/*.rs` binaries (`harness = false`).
-pub mod timing {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Measurements for one benchmark.
-    #[derive(Clone, Debug)]
-    pub struct Timing {
-        /// Benchmark label.
-        pub name: String,
-        /// Measured iterations (after one warm-up).
-        pub iters: u32,
-        /// Mean nanoseconds per iteration.
-        pub mean_ns: f64,
-        /// Fastest iteration.
-        pub min_ns: u64,
-        /// Slowest iteration.
-        pub max_ns: u64,
-    }
-
-    impl Timing {
-        fn human(ns: f64) -> String {
-            if ns >= 1e9 {
-                format!("{:.2} s", ns / 1e9)
-            } else if ns >= 1e6 {
-                format!("{:.2} ms", ns / 1e6)
-            } else if ns >= 1e3 {
-                format!("{:.2} µs", ns / 1e3)
-            } else {
-                format!("{ns:.0} ns")
-            }
-        }
-    }
-
-    /// Iteration budget: `ASF_BENCH_ITERS` overrides the default.
-    pub fn iters_from_env(default: u32) -> u32 {
-        std::env::var("ASF_BENCH_ITERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(default)
-    }
-
-    /// Runs `f` once to warm up, then `iters` timed iterations.
-    pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Timing {
-        black_box(f());
-        let mut samples = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let start = Instant::now();
-            black_box(f());
-            samples.push(start.elapsed().as_nanos() as u64);
-        }
-        Timing {
-            name: name.to_string(),
-            iters,
-            mean_ns: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-            min_ns: samples.iter().copied().min().unwrap_or(0),
-            max_ns: samples.iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// Collects timings and prints one markdown table at the end.
-    #[derive(Default)]
-    pub struct Report {
-        rows: Vec<Timing>,
-    }
-
-    impl Report {
-        /// Creates an empty report.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Benches `f` and records the result (also echoed immediately).
-        pub fn bench<R>(&mut self, name: &str, iters: u32, f: impl FnMut() -> R) {
-            let t = bench(name, iters, f);
-            println!(
-                "{:40} {:>10}/iter  (min {}, max {}, {} iters)",
-                t.name,
-                Timing::human(t.mean_ns),
-                Timing::human(t.min_ns as f64),
-                Timing::human(t.max_ns as f64),
-                t.iters
-            );
-            self.rows.push(t);
-        }
-
-        /// Renders all rows as a markdown table.
-        pub fn to_markdown(&self) -> String {
-            let mut t = super::Table::new(vec!["benchmark", "mean/iter", "min", "max", "iters"]);
-            for r in &self.rows {
-                t.row(vec![
-                    r.name.clone(),
-                    Timing::human(r.mean_ns),
-                    Timing::human(r.min_ns as f64),
-                    Timing::human(r.max_ns as f64),
-                    r.iters.to_string(),
-                ]);
-            }
-            t.to_markdown()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn bench_measures_and_reports() {
-            let mut calls = 0u32;
-            let t = bench("spin", 3, || {
-                calls += 1;
-                std::hint::black_box(calls)
-            });
-            assert_eq!(calls, 4); // 1 warm-up + 3 timed
-            assert_eq!(t.iters, 3);
-            assert!(t.min_ns <= t.max_ns);
-            assert!(t.mean_ns >= t.min_ns as f64);
-        }
-
-        #[test]
-        fn report_renders_markdown() {
-            let mut r = Report::new();
-            r.bench("noop", 2, || 1 + 1);
-            let md = r.to_markdown();
-            assert!(md.contains("noop"));
-            assert!(md.contains("mean/iter"));
-        }
-
-        #[test]
-        fn env_knob_parses() {
-            assert_eq!(iters_from_env(7), 7); // unset → default
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asymfence_workloads::cilk::CilkApp;
+    use asymfence_workloads::ustm::UstmBench;
 
     #[test]
     fn cilk_runner_smoke() {
-        let r = run_cilk(CilkApp::Fib, FenceDesign::WsPlus, 2, 7);
+        let r = RunSpec::cilk(CilkApp::Fib, FenceDesign::WsPlus, 2, 7).execute();
         assert!(r.cycles > 0);
         assert_eq!(r.outcome, RunOutcome::Finished);
         let (busy, fence, other) = r.breakdown();
@@ -306,14 +134,14 @@ mod tests {
 
     #[test]
     fn ustm_runner_smoke() {
-        let r = run_ustm(UstmBench::Hash, FenceDesign::SPlus, 2, 7, 150_000);
+        let r = RunSpec::ustm(UstmBench::Hash, FenceDesign::SPlus, 2, 7, 150_000).execute();
         assert!(r.commits > 0);
     }
 
     #[test]
     fn run_result_merge_accumulates() {
-        let a = run_cilk(CilkApp::Fib, FenceDesign::SPlus, 2, 7);
-        let b = run_ustm(UstmBench::Counter, FenceDesign::SPlus, 2, 7, 40_000);
+        let a = RunSpec::cilk(CilkApp::Fib, FenceDesign::SPlus, 2, 7).execute();
+        let b = RunSpec::ustm(UstmBench::Counter, FenceDesign::SPlus, 2, 7, 40_000).execute();
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.cycles, a.cycles + b.cycles);

@@ -27,6 +27,7 @@ use asymfence::prelude::{FenceClass, TraceSink};
 use asymfence_common::telemetry::{
     self, BenchSnapshot, FenceLatencySummary, MetricEntry, PhaseTimer, Stopwatch,
 };
+use asymfence_common::ledger::CellRecord;
 use asymfence_common::trace::FenceTally;
 use asymfence_common::MachineStats;
 
@@ -36,7 +37,7 @@ use crate::RunResult;
 
 /// Section name used before any `begin_section` call (single-figure
 /// binaries set a real section immediately; this only shows up for bare
-/// `Runner::run` callers like the timing harness).
+/// `Runner::run` callers).
 pub const DEFAULT_SECTION: &str = "main";
 
 #[derive(Debug)]
@@ -80,6 +81,30 @@ impl EntryAgg {
             oracle_runs: 0,
         }
     }
+
+    /// Folds one executed run (wall-clock already masked as the
+    /// collector requires).
+    fn add(
+        &mut self,
+        wall_ns: u64,
+        cycles: u64,
+        commits: u64,
+        aborts: u64,
+        stats: &MachineStats,
+        tallies: [&FenceTally; 3],
+    ) {
+        self.runs += 1;
+        self.wall_ns += wall_ns;
+        self.wall_min_ns = self.wall_min_ns.min(wall_ns);
+        self.wall_max_ns = self.wall_max_ns.max(wall_ns);
+        self.cycles += cycles;
+        self.commits += commits;
+        self.aborts += aborts;
+        self.stats.merge(stats);
+        for (agg, tally) in self.tallies.iter_mut().zip(tallies) {
+            agg.merge(tally);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -87,6 +112,27 @@ struct State {
     section: String,
     phases: PhaseTimer,
     entries: Vec<EntryAgg>,
+}
+
+impl State {
+    /// The `(section, workload, design)` cell, created on first use so
+    /// entries keep first-record order.
+    fn entry(&mut self, section: &str, workload: &str, design: &str) -> &mut EntryAgg {
+        let idx = match self.entries.iter().position(|e| {
+            e.section == section && e.workload == workload && e.design == design
+        }) {
+            Some(i) => i,
+            None => {
+                self.entries.push(EntryAgg::new(
+                    section.to_string(),
+                    workload.to_string(),
+                    design.to_string(),
+                ));
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[idx]
+    }
 }
 
 /// Accumulates harness telemetry across every batch a [`Runner`] runs.
@@ -135,30 +181,35 @@ impl Collector {
     pub fn record(&self, spec: &RunSpec, result: &RunResult, wall_ns: u64, sink: &TraceSink) {
         let wall_ns = if self.deterministic { 0 } else { wall_ns };
         let mut s = self.state.lock().unwrap();
-        let (section, workload, design) =
-            (s.section.clone(), spec.workload.name(), spec.design.label());
-        let idx = match s.entries.iter().position(|e| {
-            e.section == section && e.workload == workload && e.design == design
-        }) {
-            Some(i) => i,
-            None => {
-                s.entries
-                    .push(EntryAgg::new(section, workload, design.to_string()));
-                s.entries.len() - 1
-            }
-        };
-        let agg = &mut s.entries[idx];
-        agg.runs += 1;
-        agg.wall_ns += wall_ns;
-        agg.wall_min_ns = agg.wall_min_ns.min(wall_ns);
-        agg.wall_max_ns = agg.wall_max_ns.max(wall_ns);
-        agg.cycles += result.cycles;
-        agg.commits += result.commits;
-        agg.aborts += result.aborts;
-        agg.stats.merge(&result.stats);
-        for (i, class) in FenceClass::ALL.iter().enumerate() {
-            agg.tallies[i].merge(sink.tally(*class));
-        }
+        let section = s.section.clone();
+        s.entry(&section, &spec.workload.name(), spec.design.label()).add(
+            wall_ns,
+            result.cycles,
+            result.commits,
+            result.aborts,
+            &result.stats,
+            FenceClass::ALL.map(|class| sink.tally(class)),
+        );
+    }
+
+    /// Folds one journaled sweep cell into its `(cell section,
+    /// workload, design)` cell — the replay [`crate::ledger::merge_dir`]
+    /// runs in grid-index order, so a merged ledger aggregates exactly
+    /// like the single-process run that [`Collector::record`] saw.
+    pub fn record_cell(&self, cell: &CellRecord) {
+        let wall_ns = if self.deterministic { 0 } else { cell.wall_ns };
+        self.state
+            .lock()
+            .unwrap()
+            .entry(&cell.section, &cell.workload, &cell.design)
+            .add(
+                wall_ns,
+                cell.cycles,
+                cell.commits,
+                cell.aborts,
+                &cell.stats,
+                cell.tallies.each_ref(),
+            );
     }
 
     /// Folds one analyzer pass's counters into the `(current section,
@@ -177,20 +228,7 @@ impl Collector {
     ) {
         let mut s = self.state.lock().unwrap();
         let section = s.section.clone();
-        let idx = match s.entries.iter().position(|e| {
-            e.section == section && e.workload == workload && e.design == design
-        }) {
-            Some(i) => i,
-            None => {
-                s.entries.push(EntryAgg::new(
-                    section,
-                    workload.to_string(),
-                    design.to_string(),
-                ));
-                s.entries.len() - 1
-            }
-        };
-        let agg = &mut s.entries[idx];
+        let agg = s.entry(&section, workload, design);
         agg.sites_discovered += sites_discovered;
         agg.cycles_enumerated += cycles_enumerated;
         agg.masks_pruned += masks_pruned;

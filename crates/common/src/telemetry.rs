@@ -336,11 +336,12 @@ impl Json {
     }
 
     /// Parses a JSON document (one value, optionally surrounded by
-    /// whitespace).
+    /// whitespace). Arrays and objects nested deeper than
+    /// [`MAX_JSON_DEPTH`] are an error, not a stack overflow.
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -400,11 +401,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Snapshots and
+/// ledger records nest a few levels; the bound keeps a hostile input's
+/// recursion far from the thread's stack limit.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"));
+    }
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -472,17 +482,21 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // escape. Both are ASCII, so the run ends on a scalar
+                // boundary and decoding it costs only its own length.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -491,7 +505,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -504,7 +518,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -517,7 +531,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -1285,6 +1299,37 @@ mod tests {
         assert_eq!(v.get("c").unwrap().get("d").unwrap().as_f64(), Some(2.5));
         let rendered = v.render();
         assert_eq!(Json::parse(&rendered).unwrap(), v);
+    }
+
+    #[test]
+    fn json_strings_decode_escapes_and_multibyte_scalars() {
+        let src = r#""a\"b\\c\/\n\t\u00e9 é€😀 \u20ac end""#;
+        assert_eq!(
+            Json::parse(src).unwrap(),
+            Json::Str("a\"b\\c/\n\té é€😀 € end".to_string())
+        );
+        // A long plain string: decoding must cost time linear in its
+        // length.
+        let long = "é".repeat(200_000);
+        assert_eq!(
+            Json::parse(&format!("\"{long}\"")).unwrap(),
+            Json::Str(long)
+        );
+        assert!(Json::parse(r#""\u12""#).is_err(), "truncated escape");
+        assert!(Json::parse(r#""\q""#).is_err(), "unknown escape");
+        assert!(Json::parse("\"open").is_err(), "unterminated");
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let v = Json::parse(&nest(MAX_JSON_DEPTH)).unwrap();
+        assert!(v.as_arr().is_some());
+        let err = Json::parse(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

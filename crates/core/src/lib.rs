@@ -17,9 +17,10 @@
 //!   `WS+`, `SW+`, `W+`, or the `Wee` comparison point.
 //! * [`scv`] — a Shasha–Snir cycle detector over the machine's
 //!   perform-order log, for verifying SC is preserved.
-//! * [`placement`] — the complementary front end (§8): delay-set analysis
-//!   that decides *where* fences must go; the asymmetric designs then
-//!   make those fences cheap.
+//!
+//! The complementary front end (§8) is the `asymfence-analyze` crate:
+//! its delay-set analysis decides *where* fences must go, and the
+//! asymmetric designs then make those fences cheap.
 //!
 //! # Quick start
 //!
@@ -52,7 +53,6 @@
 #![deny(missing_docs)]
 
 pub mod machine;
-pub mod placement;
 pub mod scv;
 
 pub use machine::{Machine, RunOutcome};

@@ -4,115 +4,30 @@
 //!
 //! Run with: `cargo run --example fence_placement`
 
+use asymfence_analyze::infer_placement;
 use asymfence_suite::prelude::*;
-use asymfence::placement::{fence_positions, Relaxation, StaticAccess, StaticProgram};
-
-fn addr_of(loc: u64) -> Addr {
-    Addr::new(0x40 * loc)
-}
-
-/// Turns a static thread into a runnable program, inserting fences at the
-/// analyzer's positions (thread 0 gets the critical role).
-fn realize(
-    accs: &[StaticAccess],
-    fences: &[usize],
-    role: FenceRole,
-    thread: usize,
-) -> (ScriptProgram, Registers) {
-    let mut instrs = Vec::new();
-    let mut tag = 1;
-    // Reordering pressure, as in the litmus suite: warm the read targets
-    // so post-fence loads are fast, and queue a cold store so the write
-    // buffer is busy when the interesting accesses arrive.
-    for a in accs.iter().filter(|a| !a.is_write) {
-        instrs.push(Instr::Load {
-            addr: addr_of(a.addr),
-            tag: None,
-        });
-    }
-    instrs.push(Instr::Compute { cycles: 1600 });
-    instrs.push(Instr::Store {
-        addr: Addr::new(0x100000 + 0x40000 * thread as u64),
-        value: 1,
-    });
-    for (i, a) in accs.iter().enumerate() {
-        if a.is_write {
-            instrs.push(Instr::Store {
-                addr: addr_of(a.addr),
-                value: 1,
-            });
-        } else {
-            instrs.push(Instr::Load {
-                addr: addr_of(a.addr),
-                tag: Some(tag),
-            });
-            tag += 1;
-        }
-        if fences.contains(&i) {
-            instrs.push(Instr::fence(role));
-        }
-    }
-    ScriptProgram::new(instrs)
-}
-
-fn run_and_check(prog: &StaticProgram, placements: &[Vec<usize>], design: FenceDesign) -> bool {
-    let cfg = MachineConfig::builder()
-        .cores(prog.threads().len().max(2))
-        .fence_design(design)
-        .record_scv_log(true)
-        .build();
-    let mut m = Machine::new(&cfg);
-    for (t, accs) in prog.threads().iter().enumerate() {
-        let role = if t == 0 {
-            FenceRole::Critical
-        } else {
-            FenceRole::NonCritical
-        };
-        let (p, _) = realize(accs, &placements[t], role, t);
-        m.add_thread(Box::new(p));
-    }
-    assert_eq!(m.run(10_000_000), RunOutcome::Finished);
-    !scv::has_violation(m.scv_log().expect("log on"))
-}
+use asymfence_suite::unfenced::{fences_per_thread, keeps_sc, programs, SHAPES};
 
 fn main() {
-    let w = StaticAccess::write;
-    let r = StaticAccess::read;
-
     println!("delay-set analysis -> fence placement -> simulate -> verify SC\n");
 
-    let cases: Vec<(&str, StaticProgram)> = vec![
-        (
-            "store buffering (fig 1a)",
-            StaticProgram::new(vec![vec![w(0), r(1)], vec![w(1), r(0)]]),
-        ),
-        (
-            "message passing",
-            StaticProgram::new(vec![vec![w(0), w(1)], vec![r(1), r(0)]]),
-        ),
-        (
-            "3-thread cycle (fig 1e)",
-            StaticProgram::new(vec![vec![w(0), r(1)], vec![w(1), r(2)], vec![w(2), r(0)]]),
-        ),
-        (
-            "independent threads",
-            StaticProgram::new(vec![vec![w(0), r(1)], vec![w(2), r(3)]]),
-        ),
-    ];
-
-    for (name, prog) in cases {
-        let placements = fence_positions(&prog, Relaxation::Tso);
-        let total: usize = placements.iter().map(Vec::len).sum();
-        println!("{name}: {total} fence(s) needed under TSO -> {placements:?}");
+    for shape in SHAPES {
+        let threads = programs(shape).len();
+        let cfg = MachineConfig::builder().cores(threads).build();
+        let placement = infer_placement(|_| programs(shape), &cfg);
+        println!(
+            "{shape}: {} fence(s) needed under TSO -> per thread {:?}",
+            placement.len(),
+            fences_per_thread(&placement, threads)
+        );
         for design in [FenceDesign::SPlus, FenceDesign::WsPlus] {
-            let sc = run_and_check(&prog, &placements, design);
+            let sc = keeps_sc(shape, Some(&placement), design);
             println!("   with placement, {design}: SC preserved = {sc}");
             assert!(sc, "analyzer placement must preserve SC");
         }
-        if total > 0 {
+        if !placement.is_empty() {
             // Drop every fence: the violation should be reachable.
-            let none: Vec<Vec<usize>> = placements.iter().map(|_| Vec::new()).collect();
-            let sc = run_and_check(&prog, &none, FenceDesign::SPlus);
+            let sc = keeps_sc(shape, None, FenceDesign::SPlus);
             println!("   without fences: SC preserved = {sc} (violation expected)");
         }
         println!();

@@ -221,13 +221,19 @@ fn idioms_biased_and_dcl_work_under_asymmetric_fences() {
 }
 
 #[test]
-fn placement_analysis_agrees_with_the_simulator() {
-    use asymfence::placement::{fence_positions, Relaxation, StaticAccess, StaticProgram};
-    // The analyzer says SB needs fences; installing them yields SC.
-    let prog = StaticProgram::new(vec![
-        vec![StaticAccess::write(0), StaticAccess::read(1)],
-        vec![StaticAccess::write(1), StaticAccess::read(0)],
-    ]);
-    let placements = fence_positions(&prog, Relaxation::Tso);
-    assert_eq!(placements, vec![vec![0], vec![0]]);
+fn inferred_placement_fences_exactly_the_litmus_cycles() {
+    use asymfence_suite::unfenced::{fences_per_thread, keeps_sc, programs, SHAPES};
+    let expected = [vec![1, 1], vec![0, 0], vec![1, 1, 1], vec![0, 0]];
+    for (shape, per_thread) in SHAPES.into_iter().zip(expected) {
+        let cfg = MachineConfig::builder().cores(per_thread.len()).build();
+        let placement = asymfence_analyze::infer_placement(|_| programs(shape), &cfg);
+        assert_eq!(fences_per_thread(&placement, per_thread.len()), per_thread, "{shape}");
+        for design in [FenceDesign::SPlus, FenceDesign::WsPlus] {
+            assert!(keeps_sc(shape, Some(&placement), design), "{shape} fenced, {design}");
+        }
+    }
+    assert!(
+        !keeps_sc("store buffering", None, FenceDesign::SPlus),
+        "unfenced store buffering must violate SC"
+    );
 }
