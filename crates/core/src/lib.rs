@@ -78,6 +78,6 @@ pub mod prelude {
         FenceClass, FenceSpan, FenceTally, TraceEvent, TraceKind, TraceSink,
     };
     pub use asymfence_cpu::program::{
-        Fetch, FenceRole, FenceSite, Instr, Registers, ScriptProgram, ThreadProgram,
+        FenceRole, FenceSite, Fetch, Instr, Registers, ScriptProgram, ThreadProgram,
     };
 }

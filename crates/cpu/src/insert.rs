@@ -17,7 +17,7 @@
 
 use asymfence_common::placement::PlacementSpec;
 
-use crate::program::{Fetch, FenceRole, FenceSite, Instr, ThreadProgram};
+use crate::program::{FenceRole, FenceSite, Fetch, Instr, ThreadProgram};
 
 /// Executes a program with fences injected at analyzer-placed sites.
 ///
@@ -239,10 +239,10 @@ impl ThreadProgram for StripFences {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asymfence_coherence::RmwKind;
     use asymfence_common::assign::synthetic_site;
     use asymfence_common::ids::Addr;
     use asymfence_common::placement::PlacedWindow;
-    use asymfence_coherence::RmwKind;
 
     use crate::program::ScriptProgram;
 
@@ -394,7 +394,8 @@ mod tests {
 
     #[test]
     fn strip_fences_snapshot_keeps_position() {
-        let (inner, _) = ScriptProgram::new(vec![st(0x00), Instr::fence(FenceRole::Critical), ld(0x40)]);
+        let (inner, _) =
+            ScriptProgram::new(vec![st(0x00), Instr::fence(FenceRole::Critical), ld(0x40)]);
         let mut p = StripFences::new(Box::new(inner));
         assert!(matches!(p.fetch(), Fetch::Instr(Instr::Store { .. })));
         let mut snap = p.snapshot();

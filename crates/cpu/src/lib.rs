@@ -40,7 +40,7 @@ pub mod program;
 
 pub use crate::core::{Core, HwFence};
 pub use insert::{FencedProgram, StripFences};
-pub use program::{Fetch, FenceRole, Instr, Registers, ScriptProgram, ThreadProgram};
+pub use program::{FenceRole, Fetch, Instr, Registers, ScriptProgram, ThreadProgram};
 
 #[cfg(test)]
 mod tests;

@@ -17,8 +17,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use asymfence_common::ids::Addr;
 use asymfence_coherence::RmwKind;
+use asymfence_common::ids::Addr;
 
 /// Whether a fence sits on a performance-critical code path.
 ///
@@ -280,7 +280,10 @@ mod tests {
                 value: 9,
             },
         ]);
-        assert!(matches!(p.fetch(), Fetch::Instr(Instr::Compute { cycles: 3 })));
+        assert!(matches!(
+            p.fetch(),
+            Fetch::Instr(Instr::Compute { cycles: 3 })
+        ));
         assert!(matches!(
             p.fetch(),
             Fetch::Instr(Instr::Store { value: 9, .. })
@@ -336,7 +339,11 @@ mod tests {
         let mut p2 = snap;
         assert!(matches!(p2.fetch(), Fetch::Instr(Instr::Load { .. })));
         p2.deliver(1, 5);
-        assert_eq!(regs.borrow()[&1], 5, "registers are shared across snapshots");
+        assert_eq!(
+            regs.borrow()[&1],
+            5,
+            "registers are shared across snapshots"
+        );
     }
 
     #[test]

@@ -9,12 +9,19 @@ use crate::core::Core;
 use crate::program::{FenceRole, Instr, Registers, ScriptProgram, ThreadProgram};
 
 fn cfg(design: FenceDesign) -> MachineConfig {
-    MachineConfig::builder().cores(2).fence_design(design).build()
+    MachineConfig::builder()
+        .cores(2)
+        .fence_design(design)
+        .build()
 }
 
 /// Runs cores to completion (or `max` cycles); returns whether all
 /// finished.
-fn run(cfg: &MachineConfig, programs: Vec<Box<dyn ThreadProgram>>, max: u64) -> (Vec<Core>, MemSystem, bool) {
+fn run(
+    cfg: &MachineConfig,
+    programs: Vec<Box<dyn ThreadProgram>>,
+    max: u64,
+) -> (Vec<Core>, MemSystem, bool) {
     let mut mem = MemSystem::new(cfg);
     let mut cores: Vec<Core> = programs
         .into_iter()
@@ -46,15 +53,27 @@ const Y: Addr = Addr::new(0x40);
 ///   post-fence load has retired.
 fn sb_side(mine: Addr, other: Addr, dummy: Addr, fence: Option<FenceRole>) -> Vec<Instr> {
     let mut v = vec![
-        Instr::Load { addr: other, tag: None },
+        Instr::Load {
+            addr: other,
+            tag: None,
+        },
         Instr::Compute { cycles: 1600 },
-        Instr::Store { addr: dummy, value: 1 },
-        Instr::Store { addr: mine, value: 1 },
+        Instr::Store {
+            addr: dummy,
+            value: 1,
+        },
+        Instr::Store {
+            addr: mine,
+            value: 1,
+        },
     ];
     if let Some(role) = fence {
         v.push(Instr::fence(role));
     }
-    v.push(Instr::Load { addr: other, tag: Some(1) });
+    v.push(Instr::Load {
+        addr: other,
+        tag: Some(1),
+    });
     v
 }
 
@@ -63,7 +82,11 @@ const DUMMY_B: Addr = Addr::new(0x1100);
 
 /// Dekker / store-buffering litmus: each thread stores its flag, fences,
 /// then reads the other's flag.
-fn sb_programs(fenced: bool, role_a: FenceRole, role_b: FenceRole) -> (Vec<Box<dyn ThreadProgram>>, Registers, Registers) {
+fn sb_programs(
+    fenced: bool,
+    role_a: FenceRole,
+    role_b: FenceRole,
+) -> (Vec<Box<dyn ThreadProgram>>, Registers, Registers) {
     let fa = fenced.then_some(role_a);
     let fb = fenced.then_some(role_b);
     let (pa, ra) = ScriptProgram::new(sb_side(X, Y, DUMMY_A, fa));
@@ -141,7 +164,10 @@ fn strong_fence_stalls_post_fence_load() {
     let (p, regs) = ScriptProgram::new(vec![
         Instr::Store { addr: X, value: 3 },
         Instr::fence(FenceRole::Critical),
-        Instr::Load { addr: Y, tag: Some(1) },
+        Instr::Load {
+            addr: Y,
+            tag: Some(1),
+        },
     ]);
     let (cores, _, done) = run(&c, vec![Box::new(p)], 100_000);
     assert!(done);
@@ -165,13 +191,19 @@ fn weak_fence_lets_post_fence_load_retire_early() {
     let (p, regs) = ScriptProgram::new(vec![
         Instr::Store { addr: X, value: 3 },
         Instr::fence(FenceRole::Critical),
-        Instr::Load { addr: Y, tag: Some(1) },
+        Instr::Load {
+            addr: Y,
+            tag: Some(1),
+        },
     ]);
     let (cores, _, done) = run(&c, vec![Box::new(p)], 100_000);
     assert!(done);
     let s = cores[0].stats();
     assert_eq!(s.wf_count, 1);
-    assert_eq!(s.early_retired_loads, 1, "the load completed past the fence");
+    assert_eq!(
+        s.early_retired_loads, 1,
+        "the load completed past the fence"
+    );
     assert!(
         s.fence_stall_cycles < 20,
         "weak fence hides the store's miss, stall = {}",
@@ -188,7 +220,10 @@ fn forwarded_load_ignores_fences() {
     let (p, regs) = ScriptProgram::new(vec![
         Instr::Store { addr: X, value: 9 },
         Instr::fence(FenceRole::Critical),
-        Instr::Load { addr: X, tag: Some(1) },
+        Instr::Load {
+            addr: X,
+            tag: Some(1),
+        },
     ]);
     let (_, _, done) = run(&c, vec![Box::new(p)], 100_000);
     assert!(done);
@@ -209,7 +244,10 @@ fn unprotected_weak_fences_deadlock() {
     let c = cfg(FenceDesign::WfOnlyUnsafe);
     let (progs, _, _) = crossed_wf_programs();
     let (cores, _, done) = run(&c, progs, 100_000);
-    assert!(!done, "Figure 3a: all-wf groups with no protection deadlock");
+    assert!(
+        !done,
+        "Figure 3a: all-wf groups with no protection deadlock"
+    );
     // Both cores executed their weak fences and then got stuck waiting
     // on them (no recovery mechanism in the unprotected design).
     assert!(cores.iter().all(|c| c.stats().wf_count == 1));
@@ -241,7 +279,10 @@ fn ws_plus_resolves_false_sharing_with_order_op() {
     let (pb, _) = ScriptProgram::new(sb_side(Y, x2, DUMMY_B, Some(FenceRole::Critical)));
     let c = cfg(FenceDesign::WsPlus);
     let (cores, _, done) = run(&c, vec![Box::new(pa), Box::new(pb)], 2_000_000);
-    assert!(done, "WS+ Order operation must break the false-sharing cycle");
+    assert!(
+        done,
+        "WS+ Order operation must break the false-sharing cycle"
+    );
     let orders: u64 = cores.iter().map(|c| c.stats().order_ops).sum();
     let _ = orders; // order_ops are merged by the machine layer; just a liveness check here.
 }
@@ -265,8 +306,14 @@ fn wee_fence_demotes_when_pending_set_spans_banks() {
         .fence_design(FenceDesign::Wee)
         .build();
     let (p, _) = ScriptProgram::new(vec![
-        Instr::Store { addr: Addr::new(0x00), value: 1 }, // chunk 0 -> bank 0
-        Instr::Store { addr: Addr::new(0x20000), value: 2 }, // chunk 1 -> bank 1
+        Instr::Store {
+            addr: Addr::new(0x00),
+            value: 1,
+        }, // chunk 0 -> bank 0
+        Instr::Store {
+            addr: Addr::new(0x20000),
+            value: 2,
+        }, // chunk 1 -> bank 1
         Instr::fence(FenceRole::Critical),
         Instr::Load {
             addr: Addr::new(0x100),
@@ -290,7 +337,10 @@ fn wee_fence_stays_weak_on_single_bank_and_retires_loads_early() {
         .build();
     // Lines 0 and 2 share the first interleave chunk (bank 0).
     let (p, _) = ScriptProgram::new(vec![
-        Instr::Store { addr: Addr::new(0x00), value: 1 }, // chunk 0 -> bank 0
+        Instr::Store {
+            addr: Addr::new(0x00),
+            value: 1,
+        }, // chunk 0 -> bank 0
         Instr::fence(FenceRole::Critical),
         Instr::Load {
             addr: Addr::new(0x40), // same chunk -> bank 0
@@ -315,9 +365,15 @@ fn wee_post_fence_load_to_foreign_bank_retires_early_after_broadcast() {
         .fence_design(FenceDesign::Wee)
         .build();
     let (p, _) = ScriptProgram::new(vec![
-        Instr::Load { addr: Addr::new(0x20), tag: None }, // warm the target
+        Instr::Load {
+            addr: Addr::new(0x20),
+            tag: None,
+        }, // warm the target
         Instr::Compute { cycles: 1600 },
-        Instr::Store { addr: Addr::new(0x00), value: 1 }, // bank 0
+        Instr::Store {
+            addr: Addr::new(0x00),
+            value: 1,
+        }, // bank 0
         Instr::fence(FenceRole::Critical),
         Instr::Load {
             addr: Addr::new(0x20), // line 1 -> bank 1 (foreign, no PS hit)
@@ -355,7 +411,10 @@ fn rmw_acts_as_full_fence_and_returns_old_value() {
             op: asymfence_coherence::RmwKind::Swap(7),
             tag: 1,
         },
-        Instr::Load { addr: X, tag: Some(2) },
+        Instr::Load {
+            addr: X,
+            tag: Some(2),
+        },
     ]);
     let (cores, mem, done) = run(&c, vec![Box::new(p)], 100_000);
     assert!(done);
@@ -370,10 +429,7 @@ fn deterministic_across_runs() {
     let c = cfg(FenceDesign::WPlus);
     let snap = |(cores, _, done): (Vec<Core>, MemSystem, bool)| {
         assert!(done);
-        cores
-            .iter()
-            .map(|c| (*c.stats(),))
-            .collect::<Vec<_>>()
+        cores.iter().map(|c| (*c.stats(),)).collect::<Vec<_>>()
     };
     let (p1, _, _) = crossed_wf_programs();
     let (p2, _, _) = crossed_wf_programs();
@@ -486,7 +542,10 @@ fn order_mode_clears_after_fences_complete() {
     let (pa, _) = ScriptProgram::new(vec![
         Instr::Store { addr: X, value: 1 },
         Instr::fence(FenceRole::Critical),
-        Instr::Load { addr: Y, tag: Some(1) },
+        Instr::Load {
+            addr: Y,
+            tag: Some(1),
+        },
     ]);
     let (progs, _, _) = (vec![Box::new(pa) as Box<dyn ThreadProgram>], 0, 0);
     let (cores, _, done) = run(&c, progs, 200_000);
@@ -495,8 +554,7 @@ fn order_mode_clears_after_fences_complete() {
 }
 
 #[test]
-fn idle_cycles_accrue_after_done()
-{
+fn idle_cycles_accrue_after_done() {
     let c = MachineConfig::builder().cores(1).build();
     let (p, _) = ScriptProgram::new(vec![Instr::Compute { cycles: 4 }]);
     let mut mem = MemSystem::new(&c);
@@ -521,10 +579,7 @@ fn wider_merge_width_hides_store_drain() {
     // time, so a fence behind several misses stalls ~N x miss latency; an
     // RC-flavoured drain overlaps them.
     let run_width = |w: usize| {
-        let c = MachineConfig::builder()
-            .cores(1)
-            .wb_merge_width(w)
-            .build();
+        let c = MachineConfig::builder().cores(1).wb_merge_width(w).build();
         let mut instrs: Vec<Instr> = (0..6u64)
             .map(|i| Instr::Store {
                 addr: Addr::new(0x1000 + 0x40 * i),
@@ -532,7 +587,10 @@ fn wider_merge_width_hides_store_drain() {
             })
             .collect();
         instrs.push(Instr::fence(FenceRole::Critical));
-        instrs.push(Instr::Load { addr: Y, tag: Some(1) });
+        instrs.push(Instr::Load {
+            addr: Y,
+            tag: Some(1),
+        });
         let (p, _) = ScriptProgram::new(instrs);
         let (cores, mem, done) = run(&c, vec![Box::new(p)], 1_000_000);
         assert!(done);
@@ -553,10 +611,7 @@ fn wider_merge_width_hides_store_drain() {
 fn merge_width_preserves_per_line_store_order() {
     // Two stores to the same word must still apply in program order even
     // when the drain is concurrent.
-    let c = MachineConfig::builder()
-        .cores(1)
-        .wb_merge_width(8)
-        .build();
+    let c = MachineConfig::builder().cores(1).wb_merge_width(8).build();
     let (p, _) = ScriptProgram::new(vec![
         Instr::Store { addr: X, value: 1 },
         Instr::Store {
