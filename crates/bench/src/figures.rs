@@ -37,13 +37,23 @@ pub fn fig08(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
 
     let specs: Vec<RunSpec> = apps
         .iter()
-        .flat_map(|&app| designs.iter().map(move |&d| RunSpec::cilk(app, d, cores, SEED)))
+        .flat_map(|&app| {
+            designs
+                .iter()
+                .map(move |&d| RunSpec::cilk(app, d, cores, SEED))
+        })
         .collect();
     let results = runner.run(&specs);
     crate::trace::maybe_emit("fig08_cilk", &specs, opts);
 
     let mut t = Table::new(vec![
-        "app", "design", "cycles", "norm-time", "busy", "other-stall", "fence-stall",
+        "app",
+        "design",
+        "cycles",
+        "norm-time",
+        "busy",
+        "other-stall",
+        "fence-stall",
     ]);
     let mut per_design_norm: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
     let mut splus_fence_share = Vec::new();
@@ -86,7 +96,11 @@ pub fn fig08(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
 pub fn fig09(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     runner.begin_section("fig09_ustm_throughput");
     let cores = 8;
-    let window = if opts.quick { USTM_WINDOW / 4 } else { USTM_WINDOW };
+    let window = if opts.quick {
+        USTM_WINDOW / 4
+    } else {
+        USTM_WINDOW
+    };
     sink.line(format!(
         "# Figure 9 — ustm transactional throughput (normalized to S+), {cores} cores, {window}-cycle window"
     ));
@@ -96,7 +110,10 @@ pub fn fig09(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     } else {
         UstmBench::ALL.to_vec()
     };
-    let benches: Vec<UstmBench> = benches.into_iter().filter(|b| opts.keep(b.name())).collect();
+    let benches: Vec<UstmBench> = benches
+        .into_iter()
+        .filter(|b| opts.keep(b.name()))
+        .collect();
     let designs = opts.design_list();
 
     let specs: Vec<RunSpec> = benches
@@ -110,7 +127,13 @@ pub fn fig09(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     let results = runner.run(&specs);
     crate::trace::maybe_emit("fig09_ustm_throughput", &specs, opts);
 
-    let mut t = Table::new(vec!["bench", "design", "commits", "aborts", "norm-throughput"]);
+    let mut t = Table::new(vec![
+        "bench",
+        "design",
+        "commits",
+        "aborts",
+        "norm-throughput",
+    ]);
     let mut per_design: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
     for (bi, &bench) in benches.iter().enumerate() {
         let base = &results[bi * designs.len()];
@@ -143,7 +166,11 @@ pub fn fig09(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
 pub fn fig10(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     runner.begin_section("fig10_ustm_breakdown");
     let cores = 8;
-    let window = if opts.quick { USTM_WINDOW / 4 } else { USTM_WINDOW };
+    let window = if opts.quick {
+        USTM_WINDOW / 4
+    } else {
+        USTM_WINDOW
+    };
     sink.line("# Figure 10 — ustm per-transaction processor cycles (normalized to S+)");
     sink.blank();
     let benches: Vec<UstmBench> = if opts.quick {
@@ -151,7 +178,10 @@ pub fn fig10(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     } else {
         UstmBench::ALL.to_vec()
     };
-    let benches: Vec<UstmBench> = benches.into_iter().filter(|b| opts.keep(b.name())).collect();
+    let benches: Vec<UstmBench> = benches
+        .into_iter()
+        .filter(|b| opts.keep(b.name()))
+        .collect();
     let designs = opts.design_list();
 
     let specs: Vec<RunSpec> = benches
@@ -171,7 +201,13 @@ pub fn fig10(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         active as f64 / r.commits.max(1) as f64
     };
     let mut t = Table::new(vec![
-        "bench", "design", "cycles/txn", "norm", "busy", "other-stall", "fence-stall",
+        "bench",
+        "design",
+        "cycles/txn",
+        "norm",
+        "busy",
+        "other-stall",
+        "fence-stall",
     ]);
     let mut per_design: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
     let mut splus_fence_share = Vec::new();
@@ -231,13 +267,23 @@ pub fn fig11(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
 
     let specs: Vec<RunSpec> = apps
         .iter()
-        .flat_map(|&a| designs.iter().map(move |&d| RunSpec::stamp(a, d, cores, SEED)))
+        .flat_map(|&a| {
+            designs
+                .iter()
+                .map(move |&d| RunSpec::stamp(a, d, cores, SEED))
+        })
         .collect();
     let results = runner.run(&specs);
     crate::trace::maybe_emit("fig11_stamp", &specs, opts);
 
     let mut t = Table::new(vec![
-        "app", "design", "cycles", "norm-time", "busy", "other-stall", "fence-stall",
+        "app",
+        "design",
+        "cycles",
+        "norm-time",
+        "busy",
+        "other-stall",
+        "fence-stall",
     ]);
     let mut per_design: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
     let mut splus_fence_share = Vec::new();
@@ -262,7 +308,10 @@ pub fn fig11(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     }
     sink.table("fig11_stamp", &t);
     sink.line("## Averages (paper: WS+ -7%, W+ -19%, Wee -11%; S+ fence stall ~13%)");
-    sink.line(format!("S+ fence-stall share: {}", pct(mean(&splus_fence_share))));
+    sink.line(format!(
+        "S+ fence-stall share: {}",
+        pct(mean(&splus_fence_share))
+    ));
     for (di, &design) in designs.iter().enumerate() {
         sink.line(format!(
             "{:>4}: mean normalized execution time {}",
@@ -276,7 +325,11 @@ pub fn fig11(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
 /// fence-stall time relative to S+ at 4..32 cores per workload group.
 pub fn fig12(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     runner.begin_section("fig12_scalability");
-    let core_counts: Vec<usize> = if opts.quick { vec![4, 8] } else { vec![4, 8, 16, 32] };
+    let core_counts: Vec<usize> = if opts.quick {
+        vec![4, 8]
+    } else {
+        vec![4, 8, 16, 32]
+    };
     let designs: Vec<FenceDesign> = [FenceDesign::WsPlus, FenceDesign::WPlus, FenceDesign::Wee]
         .into_iter()
         .filter(|&d| opts.keep_design(d))
@@ -299,13 +352,22 @@ pub fn fig12(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         (
             "ustm",
             vec![
-                Workload::Ustm { bench: UstmBench::Hash, window: USTM_WINDOW / 3 },
-                Workload::Ustm { bench: UstmBench::Tree, window: USTM_WINDOW / 3 },
+                Workload::Ustm {
+                    bench: UstmBench::Hash,
+                    window: USTM_WINDOW / 3,
+                },
+                Workload::Ustm {
+                    bench: UstmBench::Tree,
+                    window: USTM_WINDOW / 3,
+                },
             ],
         ),
         ("STAMP", vec![Workload::Stamp(StampApp::Intruder)]),
     ];
-    let groups: Vec<_> = groups.into_iter().filter(|(name, _)| opts.keep(name)).collect();
+    let groups: Vec<_> = groups
+        .into_iter()
+        .filter(|(name, _)| opts.keep(name))
+        .collect();
 
     let mut all_designs = vec![FenceDesign::SPlus];
     all_designs.extend(&designs);
@@ -388,12 +450,24 @@ pub fn table4(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         ]
     };
     let ustm: Vec<Workload> = if opts.quick {
-        vec![Workload::Ustm { bench: UstmBench::Hash, window: USTM_WINDOW / 3 }]
+        vec![Workload::Ustm {
+            bench: UstmBench::Hash,
+            window: USTM_WINDOW / 3,
+        }]
     } else {
         vec![
-            Workload::Ustm { bench: UstmBench::Hash, window: USTM_WINDOW / 3 },
-            Workload::Ustm { bench: UstmBench::Tree, window: USTM_WINDOW / 3 },
-            Workload::Ustm { bench: UstmBench::List, window: USTM_WINDOW / 3 },
+            Workload::Ustm {
+                bench: UstmBench::Hash,
+                window: USTM_WINDOW / 3,
+            },
+            Workload::Ustm {
+                bench: UstmBench::Tree,
+                window: USTM_WINDOW / 3,
+            },
+            Workload::Ustm {
+                bench: UstmBench::List,
+                window: USTM_WINDOW / 3,
+            },
         ]
     };
     let stamp: Vec<Workload> = if opts.quick {
@@ -404,14 +478,10 @@ pub fn table4(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
             Workload::Stamp(StampApp::Vacation),
         ]
     };
-    let groups: Vec<(&str, Vec<Workload>)> = [
-        ("CilkApps", cilk),
-        ("ustm", ustm),
-        ("STAMP", stamp),
-    ]
-    .into_iter()
-    .filter(|(name, _)| opts.keep(name))
-    .collect();
+    let groups: Vec<(&str, Vec<Workload>)> = [("CilkApps", cilk), ("ustm", ustm), ("STAMP", stamp)]
+        .into_iter()
+        .filter(|(name, _)| opts.keep(name))
+        .collect();
 
     let mut specs = Vec::new();
     for (_, workloads) in &groups {
@@ -508,21 +578,33 @@ pub fn litmus_matrix(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         fences: Some((Critical, NonCritical)),
     };
     for d in all {
-        rows.push(("SB fig1d".into(), d.label().into(), RunSpec::litmus(sb_fenced, d, SEED)));
+        rows.push((
+            "SB fig1d".into(),
+            d.label().into(),
+            RunSpec::litmus(sb_fenced, d, SEED),
+        ));
     }
     let three = LitmusCase::ThreeThreadCycle {
         roles: [Critical, NonCritical, NonCritical],
     };
     for d in [FenceDesign::WsPlus, FenceDesign::SwPlus] {
-        rows.push(("3-thread fig3c".into(), d.label().into(), RunSpec::litmus(three, d, SEED)));
+        rows.push((
+            "3-thread fig3c".into(),
+            d.label().into(),
+            RunSpec::litmus(three, d, SEED),
+        ));
     }
-    let all_wf = LitmusCase::ThreeThreadCycle { roles: [Critical; 3] };
+    let all_wf = LitmusCase::ThreeThreadCycle {
+        roles: [Critical; 3],
+    };
     rows.push((
         "3-thread all-wf".into(),
         "W+".into(),
         RunSpec::litmus(all_wf, FenceDesign::WPlus, SEED),
     ));
-    let false_share = LitmusCase::FalseSharingPair { roles: (Critical, Critical) };
+    let false_share = LitmusCase::FalseSharingPair {
+        roles: (Critical, Critical),
+    };
     for d in [FenceDesign::WsPlus, FenceDesign::SwPlus, FenceDesign::WPlus] {
         rows.push((
             "false-share fig4b".into(),
@@ -605,7 +687,13 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         let points = [1usize, 2, 4, 8, 32];
         let mut specs = vec![fib(Knobs::default(), FenceDesign::WsPlus)];
         specs.extend(points.iter().map(|&bs| {
-            fib(Knobs { bs_entries: Some(bs), ..Default::default() }, FenceDesign::WsPlus)
+            fib(
+                Knobs {
+                    bs_entries: Some(bs),
+                    ..Default::default()
+                },
+                FenceDesign::WsPlus,
+            )
         }));
         let results = runner.run(&specs);
         traced.extend_from_slice(&specs);
@@ -613,7 +701,11 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         let mut t = Table::new(vec!["bs_entries", "cycles", "norm"]);
         for (i, &bs) in points.iter().enumerate() {
             let c = results[i + 1].cycles;
-            t.row(vec![bs.to_string(), c.to_string(), f2(c as f64 / base as f64)]);
+            t.row(vec![
+                bs.to_string(),
+                c.to_string(),
+                f2(c as f64 / base as f64),
+            ]);
         }
         sink.table("ablation_bs_capacity", &t);
     }
@@ -625,7 +717,10 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
             .iter()
             .map(|&retry| {
                 hash(
-                    Knobs { bounce_retry_cycles: Some(retry), ..Default::default() },
+                    Knobs {
+                        bounce_retry_cycles: Some(retry),
+                        ..Default::default()
+                    },
                     FenceDesign::WPlus,
                 )
             })
@@ -650,7 +745,10 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
             .iter()
             .map(|&timeout| {
                 hash(
-                    Knobs { w_timeout_cycles: Some(timeout), ..Default::default() },
+                    Knobs {
+                        w_timeout_cycles: Some(timeout),
+                        ..Default::default()
+                    },
                     FenceDesign::WPlus,
                 )
             })
@@ -669,14 +767,25 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
     }
 
     if opts.keep("merge-width") {
-        sink.line("## A6: store-merge width (motivation, paper §2.1) — TSO merges one store at a time");
+        sink.line(
+            "## A6: store-merge width (motivation, paper §2.1) — TSO merges one store at a time",
+        );
         let points = [1usize, 2, 4, 8];
         let mut specs = vec![fib(
-            Knobs { wb_merge_width: Some(1), ..Default::default() },
+            Knobs {
+                wb_merge_width: Some(1),
+                ..Default::default()
+            },
             FenceDesign::SPlus,
         )];
         specs.extend(points.iter().map(|&w| {
-            fib(Knobs { wb_merge_width: Some(w), ..Default::default() }, FenceDesign::SPlus)
+            fib(
+                Knobs {
+                    wb_merge_width: Some(w),
+                    ..Default::default()
+                },
+                FenceDesign::SPlus,
+            )
         }));
         let results = runner.run(&specs);
         traced.extend_from_slice(&specs);
@@ -684,7 +793,11 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         let mut t = Table::new(vec!["merge_width", "S+ fib cycles", "norm"]);
         for (i, &w) in points.iter().enumerate() {
             let c = results[i + 1].cycles;
-            t.row(vec![w.to_string(), c.to_string(), f2(c as f64 / base as f64)]);
+            t.row(vec![
+                w.to_string(),
+                c.to_string(),
+                f2(c as f64 / base as f64),
+            ]);
         }
         sink.table("ablation_merge_width", &t);
     }
@@ -695,10 +808,14 @@ pub fn ablations(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
         let specs: Vec<RunSpec> = points
             .iter()
             .flat_map(|&hop| {
-                [FenceDesign::SPlus, FenceDesign::WsPlus].into_iter().map(move |d| {
-                    RunSpec::cilk(CilkApp::Fib, d, 8, SEED)
-                        .with_knobs(Knobs { hop_cycles: Some(hop), ..Default::default() })
-                })
+                [FenceDesign::SPlus, FenceDesign::WsPlus]
+                    .into_iter()
+                    .map(move |d| {
+                        RunSpec::cilk(CilkApp::Fib, d, 8, SEED).with_knobs(Knobs {
+                            hop_cycles: Some(hop),
+                            ..Default::default()
+                        })
+                    })
             })
             .collect();
         let results = runner.run(&specs);

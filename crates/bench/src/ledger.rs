@@ -103,10 +103,7 @@ pub struct MergeOutcome {
 /// shards first).
 pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
     let logs = read_dir_logs(dir)?;
-    let claims: Vec<_> = logs
-        .iter()
-        .flat_map(|(_, log)| log.claims.iter())
-        .collect();
+    let claims: Vec<_> = logs.iter().flat_map(|(_, log)| log.claims.iter()).collect();
     let Some(first) = claims.first() else {
         return Err(format!("{}: no shard ledgers to merge", dir.display()));
     };
@@ -145,10 +142,7 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
     // Union of cell records in (shard-id, journal) order, then a stable
     // sort by grid index: the first durable record for an index wins,
     // later ones are duplicates from re-executed chunks.
-    let mut cells: Vec<&CellRecord> = logs
-        .iter()
-        .flat_map(|(_, log)| log.cells.iter())
-        .collect();
+    let mut cells: Vec<&CellRecord> = logs.iter().flat_map(|(_, log)| log.cells.iter()).collect();
     cells.sort_by_key(|c| c.index);
     let mut duplicates = 0u64;
     cells.dedup_by(|b, a| {
@@ -196,7 +190,11 @@ pub fn merge_dir(dir: &Path, label: &str) -> Result<MergeOutcome, String> {
     // The replay entered no section, so phases start empty: each
     // section's phase is the sum of its cells' walls.
     for cell in &cells {
-        match snap.phases.iter_mut().find(|(name, _)| name == &cell.section) {
+        match snap
+            .phases
+            .iter_mut()
+            .find(|(name, _)| name == &cell.section)
+        {
             Some((_, ns)) => *ns += cell.wall_ns,
             None => snap.phases.push((cell.section.clone(), cell.wall_ns)),
         }
@@ -306,7 +304,10 @@ mod tests {
         assert_eq!(snap.total_wall_ns, 123, "sum of cell walls");
         assert_eq!(snap.peak_rss_bytes, 9, "largest heartbeat RSS");
         assert_eq!(snap.pool, PoolTelemetry::default());
-        assert_eq!(snap.phases, vec![("a".to_string(), 120), ("b".to_string(), 3)]);
+        assert_eq!(
+            snap.phases,
+            vec![("a".to_string(), 120), ("b".to_string(), 3)]
+        );
         let shard = snap.shard.expect("timed merges carry the shard block");
         assert_eq!((shard.shards, shard.resumes), (1, 1));
         let a = snap.entry("a", "w", "S+").unwrap();

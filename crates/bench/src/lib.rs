@@ -69,8 +69,7 @@ pub const MAX_CYCLES: u64 = 4_000_000_000;
 /// Scale factor for quick runs (`ASF_QUICK=1` in the environment or
 /// `--quick` on the command line shrinks workloads ~4x).
 pub fn quick() -> bool {
-    std::env::var("ASF_QUICK").is_ok_and(|v| v != "0")
-        || std::env::args().any(|a| a == "--quick")
+    std::env::var("ASF_QUICK").is_ok_and(|v| v != "0") || std::env::args().any(|a| a == "--quick")
 }
 
 /// One run's outcome: cycle count plus merged statistics.

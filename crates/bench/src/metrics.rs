@@ -24,15 +24,15 @@
 use std::sync::Mutex;
 
 use asymfence::prelude::{FenceClass, TraceSink};
+use asymfence_common::ledger::CellRecord;
 use asymfence_common::telemetry::{
     self, BenchSnapshot, FenceLatencySummary, MetricEntry, PhaseTimer, Stopwatch,
 };
-use asymfence_common::ledger::CellRecord;
 use asymfence_common::trace::FenceTally;
 use asymfence_common::MachineStats;
 
 use crate::cli::Opts;
-use crate::runner::{Runner, RunSpec};
+use crate::runner::{RunSpec, Runner};
 use crate::RunResult;
 
 /// Section name used before any `begin_section` call (single-figure
@@ -118,9 +118,11 @@ impl State {
     /// The `(section, workload, design)` cell, created on first use so
     /// entries keep first-record order.
     fn entry(&mut self, section: &str, workload: &str, design: &str) -> &mut EntryAgg {
-        let idx = match self.entries.iter().position(|e| {
-            e.section == section && e.workload == workload && e.design == design
-        }) {
+        let idx = match self
+            .entries
+            .iter()
+            .position(|e| e.section == section && e.workload == workload && e.design == design)
+        {
             Some(i) => i,
             None => {
                 self.entries.push(EntryAgg::new(
@@ -182,14 +184,15 @@ impl Collector {
         let wall_ns = if self.deterministic { 0 } else { wall_ns };
         let mut s = self.state.lock().unwrap();
         let section = s.section.clone();
-        s.entry(&section, &spec.workload.name(), spec.design.label()).add(
-            wall_ns,
-            result.cycles,
-            result.commits,
-            result.aborts,
-            &result.stats,
-            FenceClass::ALL.map(|class| sink.tally(class)),
-        );
+        s.entry(&section, &spec.workload.name(), spec.design.label())
+            .add(
+                wall_ns,
+                result.cycles,
+                result.commits,
+                result.aborts,
+                &result.stats,
+                FenceClass::ALL.map(|class| sink.tally(class)),
+            );
     }
 
     /// Folds one journaled sweep cell into its `(cell section,
@@ -293,8 +296,10 @@ impl Collector {
             e.oracle_runs = agg.oracle_runs;
             for (i, class) in FenceClass::ALL.iter().enumerate() {
                 if agg.tallies[i].issued > 0 {
-                    e.fences
-                        .push(FenceLatencySummary::from_tally(class.label(), &agg.tallies[i]));
+                    e.fences.push(FenceLatencySummary::from_tally(
+                        class.label(),
+                        &agg.tallies[i],
+                    ));
                 }
             }
             snap.entries.push(e);
@@ -327,8 +332,7 @@ pub fn write_if_requested(runner: &Runner, opts: &Opts) {
     };
     let snap = collector.snapshot(&label_from_path(path), opts.quick);
     let json = snap.to_json();
-    std::fs::write(path, &json)
-        .unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
     eprintln!(
         "== metrics snapshot -> {path} ({} entries, {} sections) ==",
         snap.entries.len(),
@@ -355,10 +359,24 @@ mod tests {
     fn cells_aggregate_by_section_workload_design() {
         let c = Collector::new(true);
         c.begin_section("figX");
-        let spec = RunSpec::ustm(UstmBench::Counter, FenceDesign::WsPlus, 2, crate::SEED, 20_000);
+        let spec = RunSpec::ustm(
+            UstmBench::Counter,
+            FenceDesign::WsPlus,
+            2,
+            crate::SEED,
+            20_000,
+        );
         runs(&c, &[spec, spec]); // same key twice
         c.begin_section("figY");
-        runs(&c, &[RunSpec::cilk(CilkApp::Fib, FenceDesign::SPlus, 2, crate::SEED)]);
+        runs(
+            &c,
+            &[RunSpec::cilk(
+                CilkApp::Fib,
+                FenceDesign::SPlus,
+                2,
+                crate::SEED,
+            )],
+        );
 
         let snap = c.snapshot("t", true);
         assert_eq!(snap.entries.len(), 2);
@@ -384,7 +402,16 @@ mod tests {
     fn non_deterministic_mode_keeps_wall_clock() {
         let c = Collector::new(false);
         c.begin_section("fig");
-        runs(&c, &[RunSpec::ustm(UstmBench::Counter, FenceDesign::SPlus, 2, crate::SEED, 20_000)]);
+        runs(
+            &c,
+            &[RunSpec::ustm(
+                UstmBench::Counter,
+                FenceDesign::SPlus,
+                2,
+                crate::SEED,
+                20_000,
+            )],
+        );
         let snap = c.snapshot("t", false);
         let cell = &snap.entries[0];
         assert!(cell.wall_ns > 0);
@@ -400,7 +427,16 @@ mod tests {
         c.record_analysis("peterson", "WS+", 2, 3, 5, 40);
         c.record_analysis("peterson", "WS+", 0, 0, 2, 8); // accumulates
         c.begin_section("fig");
-        runs(&c, &[RunSpec::ustm(UstmBench::Counter, FenceDesign::SPlus, 2, crate::SEED, 20_000)]);
+        runs(
+            &c,
+            &[RunSpec::ustm(
+                UstmBench::Counter,
+                FenceDesign::SPlus,
+                2,
+                crate::SEED,
+                20_000,
+            )],
+        );
 
         let snap = c.snapshot("t", true);
         let cell = snap.entry("analyze", "peterson", "WS+").unwrap();
@@ -417,7 +453,10 @@ mod tests {
 
     #[test]
     fn label_from_path_takes_the_stem() {
-        assert_eq!(label_from_path("results/bench_baseline.json"), "bench_baseline");
+        assert_eq!(
+            label_from_path("results/bench_baseline.json"),
+            "bench_baseline"
+        );
         assert_eq!(label_from_path("out.json"), "out");
         assert_eq!(label_from_path("snapshot"), "snapshot");
     }

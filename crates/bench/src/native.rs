@@ -276,10 +276,14 @@ pub fn sim_cost(kernel: NativeKernel, design: FenceDesign, quick: bool) -> f64 {
     let window: u64 = if quick { 150_000 } else { 400_000 };
     match kernel {
         NativeKernel::Dekker => {
-            RunSpec::sites(SiteBench::Dekker, design, SEED).execute().cycles as f64
+            RunSpec::sites(SiteBench::Dekker, design, SEED)
+                .execute()
+                .cycles as f64
         }
         NativeKernel::Deque => {
-            RunSpec::sites(SiteBench::Wsq, design, SEED).execute().cycles as f64
+            RunSpec::sites(SiteBench::Wsq, design, SEED)
+                .execute()
+                .cycles as f64
         }
         NativeKernel::UstmCounter => {
             let r = RunSpec::ustm(UstmBench::Counter, design, 4, SEED, window).execute();
@@ -427,7 +431,13 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
     }
 
     let mut t = Table::new(vec![
-        "kernel", "pair", "sim design", "ops", "ns/op", "aborts", "violations",
+        "kernel",
+        "pair",
+        "sim design",
+        "ops",
+        "ns/op",
+        "aborts",
+        "violations",
     ]);
     for r in &rows {
         t.row(vec![

@@ -80,7 +80,11 @@ impl Table {
                 c.clone()
             }
         };
-        let _ = writeln!(s, "{}", self.header.iter().map(esc).collect::<Vec<_>>().join(","));
+        let _ = writeln!(
+            s,
+            "{}",
+            self.header.iter().map(esc).collect::<Vec<_>>().join(",")
+        );
         for r in &self.rows {
             let _ = writeln!(s, "{}", r.iter().map(esc).collect::<Vec<_>>().join(","));
         }

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use asymfence::prelude::FenceRole;
 use asymfence_common::ledger::{
-    append_record, recover_for_append, shard_path, ClaimRecord, DoneRecord, HeartbeatRecord,
-    Record,
+    append_record, recover_for_append, shard_path, ClaimRecord, DoneRecord, HeartbeatRecord, Record,
 };
 use asymfence_common::par::Shard;
 use asymfence_common::telemetry::{self, Stopwatch};
@@ -270,7 +269,11 @@ pub fn run_shard(
     let runner = Runner::new(jobs).with_fleet(Arc::clone(&fleet));
 
     let delay_ms = cell_delay_from_env();
-    let chunk = if delay_ms.is_some() { 1 } else { HEARTBEAT_CELLS };
+    let chunk = if delay_ms.is_some() {
+        1
+    } else {
+        HEARTBEAT_CELLS
+    };
     let life = Stopwatch::start();
     // Simulated cycles carried over from prior lives, so heartbeat
     // throughput reflects the shard's whole ledger.
@@ -365,6 +368,9 @@ mod tests {
                 covered[c.index as usize] += 1;
             }
         }
-        assert!(covered.iter().all(|&c| c == 1), "each cell owned exactly once");
+        assert!(
+            covered.iter().all(|&c| c == 1),
+            "each cell owned exactly once"
+        );
     }
 }

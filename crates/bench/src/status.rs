@@ -193,10 +193,7 @@ pub fn render(fleet: &FleetStatus) -> String {
     } else {
         0.0
     };
-    let mut footer = format!(
-        "fleet: {}/{} cells ({pct:.0}%)",
-        fleet.done, fleet.total
-    );
+    let mut footer = format!("fleet: {}/{} cells ({pct:.0}%)", fleet.done, fleet.total);
     if fleet.sim_cycles_per_sec > 0.0 {
         footer.push_str(&format!(
             "  {:.2} Mcyc/s ({})",

@@ -77,7 +77,10 @@ fn golden_snapshot_has_the_gated_schema() {
         .expect("golden file present (run with ASF_BLESS=1 to create it)");
     let snap = BenchSnapshot::parse(&golden).expect("golden snapshot parses");
     assert_eq!(snap.to_json(), golden, "parse/render round-trips exactly");
-    assert!(snap.deterministic, "golden is collected in deterministic mode");
+    assert!(
+        snap.deterministic,
+        "golden is collected in deterministic mode"
+    );
     assert_eq!(snap.total_wall_ns, 0);
     assert!(!snap.entries.is_empty());
     let e = &snap.entries[0];
@@ -89,8 +92,14 @@ fn golden_snapshot_has_the_gated_schema() {
     // Shard provenance is a sharded-merge-only extra: collector
     // snapshots never carry it, so the golden bytes stay schema v2 and
     // `results/bench_baseline.json` never moves for shard-free runs.
-    assert!(snap.shard.is_none(), "collector snapshots carry no shard block");
-    assert!(golden.contains("\"schema\": 2"), "shard-free snapshots stay on v2");
+    assert!(
+        snap.shard.is_none(),
+        "collector snapshots carry no shard block"
+    );
+    assert!(
+        golden.contains("\"schema\": 2"),
+        "shard-free snapshots stay on v2"
+    );
     assert!(!golden.contains("\"shard\""));
 }
 

@@ -52,7 +52,11 @@ fn result_gen() -> impl asymfence_common::prop::Gen<Value = RunResult> {
                 triples(u8s(0, 5), u8s(0, 3), u8s(0, 0)),
                 |(a, b, _): (u8, u8, u8)| (a, b),
             ),
-            vecs(vecs(u64s(0, 1 << 20), CoreStats::FIELDS, CoreStats::FIELDS), 0, 3),
+            vecs(
+                vecs(u64s(0, 1 << 20), CoreStats::FIELDS, CoreStats::FIELDS),
+                0,
+                3,
+            ),
         ),
         build_result,
     )
@@ -147,9 +151,7 @@ fn run_result_fold_is_grouping_invariant() {
             while layer.len() > 1 {
                 layer = layer
                     .chunks(2)
-                    .map(|c| {
-                        c[1..].iter().fold(c[0].clone(), |acc, r| merged(&acc, r))
-                    })
+                    .map(|c| c[1..].iter().fold(c[0].clone(), |acc, r| merged(&acc, r)))
                     .collect();
             }
             let tree = layer.into_iter().next().unwrap();

@@ -221,7 +221,10 @@ fn machine_stats_merge_is_order_independent_on_real_runs() {
     assert_eq!(left, right);
 
     let total = left.aggregate();
-    let sum: u64 = runs.iter().map(|r| r.stats.aggregate().instrs_retired).sum();
+    let sum: u64 = runs
+        .iter()
+        .map(|r| r.stats.aggregate().instrs_retired)
+        .sum();
     assert_eq!(total.instrs_retired, sum);
     let busy: u64 = runs.iter().map(|r| r.stats.aggregate().busy_cycles).sum();
     assert_eq!(total.busy_cycles, busy);

@@ -154,7 +154,11 @@ fn duplicate_cell_records_are_idempotent_at_merge() {
 
     let merged = merge_dir(&dir, "sweep_test").unwrap();
     assert_eq!(merged.duplicates, 1, "one duplicate dropped");
-    assert_eq!(merged.snapshot.to_json(), clean, "dedup keeps bytes identical");
+    assert_eq!(
+        merged.snapshot.to_json(),
+        clean,
+        "dedup keeps bytes identical"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -38,8 +38,12 @@ fn sb_fenced_wplus_trace_matches_golden() {
         return;
     }
 
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with ASF_BLESS=1 to create it", path.display()));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with ASF_BLESS=1 to create it",
+            path.display()
+        )
+    });
     assert!(
         json == golden,
         "trace JSON drifted from {} ({} vs {} bytes); \
@@ -59,7 +63,13 @@ fn golden_trace_is_a_perfetto_envelope() {
     assert!(golden.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
     assert!(golden.trim_end().ends_with("]}"));
     // Fence spans are complete ("X") events; bounce instants ride along.
-    assert!(golden.matches("\"ph\":\"X\"").count() > 0, "no fence spans recorded");
-    assert!(golden.contains("\"store-bounce\""), "W+ run should record bounces");
+    assert!(
+        golden.matches("\"ph\":\"X\"").count() > 0,
+        "no fence spans recorded"
+    );
+    assert!(
+        golden.contains("\"store-bounce\""),
+        "W+ run should record bounces"
+    );
     assert!(golden.contains("\"cat\":\"fence\""));
 }
