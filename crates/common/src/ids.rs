@@ -170,11 +170,26 @@ mod tests {
     fn addr_word_in_line() {
         let line_bytes = 32;
         let word_bytes = 8;
-        assert_eq!(Addr::new(0).word_in_line(line_bytes, word_bytes), WordIdx(0));
-        assert_eq!(Addr::new(8).word_in_line(line_bytes, word_bytes), WordIdx(1));
-        assert_eq!(Addr::new(31).word_in_line(line_bytes, word_bytes), WordIdx(3));
-        assert_eq!(Addr::new(32).word_in_line(line_bytes, word_bytes), WordIdx(0));
-        assert_eq!(Addr::new(0x47).word_in_line(line_bytes, word_bytes), WordIdx(0));
+        assert_eq!(
+            Addr::new(0).word_in_line(line_bytes, word_bytes),
+            WordIdx(0)
+        );
+        assert_eq!(
+            Addr::new(8).word_in_line(line_bytes, word_bytes),
+            WordIdx(1)
+        );
+        assert_eq!(
+            Addr::new(31).word_in_line(line_bytes, word_bytes),
+            WordIdx(3)
+        );
+        assert_eq!(
+            Addr::new(32).word_in_line(line_bytes, word_bytes),
+            WordIdx(0)
+        );
+        assert_eq!(
+            Addr::new(0x47).word_in_line(line_bytes, word_bytes),
+            WordIdx(0)
+        );
     }
 
     #[test]

@@ -223,7 +223,10 @@ fn get_u64s(v: &Json, key: &str) -> Result<Vec<u64>, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("record missing array `{key}`"))?
         .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("`{key}` has a non-integer")))
+        .map(|x| {
+            x.as_u64()
+                .ok_or_else(|| format!("`{key}` has a non-integer"))
+        })
         .collect()
 }
 
@@ -242,12 +245,18 @@ fn stats_from_json(v: &Json) -> Result<MachineStats, String> {
             .as_arr()
             .ok_or("core is not an array".to_string())?
             .iter()
-            .map(|x| x.as_u64().ok_or("core counter is not an integer".to_string()))
+            .map(|x| {
+                x.as_u64()
+                    .ok_or("core counter is not an integer".to_string())
+            })
             .collect::<Result<_, _>>()?;
-        cores.push(
-            CoreStats::from_values(&vals)
-                .ok_or_else(|| format!("core has {} counters, expected {}", vals.len(), CoreStats::FIELDS))?,
-        );
+        cores.push(CoreStats::from_values(&vals).ok_or_else(|| {
+            format!(
+                "core has {} counters, expected {}",
+                vals.len(),
+                CoreStats::FIELDS
+            )
+        })?);
     }
     Ok(MachineStats {
         cycles: get_u64(v, "cycles")?,
@@ -390,9 +399,7 @@ impl Record {
                 aborts: get_u64(&v, "aborts")?,
                 scv: get_bool(&v, "scv")?,
                 wall_ns: get_u64(&v, "wall_ns")?,
-                stats: stats_from_json(
-                    v.get("stats").ok_or("cell missing `stats`".to_string())?,
-                )?,
+                stats: stats_from_json(v.get("stats").ok_or("cell missing `stats`".to_string())?)?,
                 tallies: {
                     let arr = v
                         .get("tallies")
@@ -556,7 +563,9 @@ mod tests {
             messages: 77,
         };
         let core = CoreStats::from_values(
-            &(1..=CoreStats::FIELDS as u64).map(|i| i * 3 + index).collect::<Vec<_>>(),
+            &(1..=CoreStats::FIELDS as u64)
+                .map(|i| i * 3 + index)
+                .collect::<Vec<_>>(),
         )
         .unwrap();
         stats.cores = vec![core, CoreStats::default()];
@@ -708,7 +717,10 @@ mod tests {
         std::fs::write(&path, format!("{claim}\n{future}\n")).unwrap();
         let log = read_shard_log(&path).unwrap();
         assert_eq!(log.skipped_unknown, 1);
-        assert_eq!(log.torn_bytes, 0, "unknown lines are valid prefix, not torn");
+        assert_eq!(
+            log.torn_bytes, 0,
+            "unknown lines are valid prefix, not torn"
+        );
         // Recovery must NOT truncate the future record away.
         let (_, file) = recover_for_append(&path).unwrap();
         drop(file);

@@ -47,11 +47,11 @@ pub mod trace;
 
 pub use assign::{is_synthetic, synthetic_site, FenceAssignment, SearchStats, SiteStrength};
 pub use config::{FenceDesign, MachineConfig, MachineConfigBuilder, Perturbation};
-pub use placement::{PlacedFence, PlacedWindow, Placement, PlacementSpec, MAX_PLACED};
 pub use ids::{Addr, BankId, CoreId, Cycle, LineAddr, WordIdx};
+pub use placement::{PlacedFence, PlacedWindow, Placement, PlacementSpec, MAX_PLACED};
 pub use rng::SimRng;
 pub use schedule::{
-    ChoiceKind, ChoicePoint, ChoiceRecord, SchedulePlan, ScheduleOracle, ScheduleQuanta,
+    ChoiceKind, ChoicePoint, ChoiceRecord, ScheduleOracle, SchedulePlan, ScheduleQuanta,
     ScheduleRecording, ScheduleScript, ScriptOracle, SeededJitter,
 };
 pub use scvlog::{ScvEvent, ScvLog};

@@ -228,10 +228,7 @@ mod tests {
         };
         let spec = p.spec();
         assert_eq!(spec.len(), 3);
-        assert_eq!(
-            spec.site_ids(),
-            vec![synthetic_site(0), synthetic_site(1)]
-        );
+        assert_eq!(spec.site_ids(), vec![synthetic_site(0), synthetic_site(1)]);
         assert_eq!(spec.windows()[0].store_line, 0);
         assert_eq!(spec.windows()[1].store_line, 2);
         assert_eq!(spec.windows()[2].thread, 1);
@@ -249,7 +246,12 @@ mod tests {
     #[should_panic(expected = "max")]
     fn spec_overflow_panics() {
         let p = Placement {
-            fences: vec![fence(0, 0, 99, &(0..MAX_PLACED as u64 + 1).collect::<Vec<_>>())],
+            fences: vec![fence(
+                0,
+                0,
+                99,
+                &(0..MAX_PLACED as u64 + 1).collect::<Vec<_>>(),
+            )],
             line_bytes: 64,
         };
         let _ = p.spec();

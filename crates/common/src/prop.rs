@@ -385,7 +385,11 @@ fn append_regression_seed(path: &Path, seed: u64, note: &str) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
+    let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    else {
         return;
     };
     if header_needed {
@@ -489,11 +493,7 @@ where
         if run_prop(prop, &v).is_err() {
             let (small, err) = shrink_failure(gen, cfg, v, prop);
             if let Some(path) = cfg.regressions.as_deref() {
-                append_regression_seed(
-                    path,
-                    case_seed,
-                    &format!("{name}: shrinks to {small:?}"),
-                );
+                append_regression_seed(path, case_seed, &format!("{name}: shrinks to {small:?}"));
             }
             return Err(format!(
                 "property `{name}` failed (case {i}, seed {case_seed:#018x};\n\
@@ -559,7 +559,10 @@ mod tests {
         let gen = pairs(u64s(0, 999), vecs(bools(), 0, 8));
         let mut a = SimRng::new(77);
         let mut b = SimRng::new(77);
-        assert_eq!(format!("{:?}", gen.sample(&mut a)), format!("{:?}", gen.sample(&mut b)));
+        assert_eq!(
+            format!("{:?}", gen.sample(&mut a)),
+            format!("{:?}", gen.sample(&mut b))
+        );
     }
 
     #[test]

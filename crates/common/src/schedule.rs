@@ -368,7 +368,8 @@ mod tests {
             inval_delay: 0,
         };
         assert!(SchedulePlan::Seeded.build_oracle(p).is_some());
-        let scripted = SchedulePlan::Scripted(ScheduleScript::natural(ScheduleQuanta::default(), 2));
+        let scripted =
+            SchedulePlan::Scripted(ScheduleScript::natural(ScheduleQuanta::default(), 2));
         assert!(scripted.build_oracle(Perturbation::default()).is_some());
     }
 

@@ -338,7 +338,13 @@ impl MachineStats {
         let a = self.aggregate();
         let fences = a.sf_count + a.wf_count;
         let active = a.busy_cycles + a.fence_stall_cycles + a.other_stall_cycles;
-        let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
         DerivedStats {
             fence_stall_fraction: ratio(a.fence_stall_cycles, active),
             fence_stall_per_fence: ratio(a.fence_stall_cycles, fences),

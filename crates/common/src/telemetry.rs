@@ -94,7 +94,9 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts timing now.
     pub fn start() -> Self {
-        Stopwatch { start: Instant::now() }
+        Stopwatch {
+            start: Instant::now(),
+        }
     }
 
     /// Nanoseconds elapsed since [`Stopwatch::start`].
@@ -208,9 +210,7 @@ impl Json {
     /// The value as an unsigned integer (rejects negatives/fractions).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -410,7 +410,9 @@ pub const MAX_JSON_DEPTH: usize = 128;
 fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
-        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"));
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"
+        ));
     }
     match b.get(*pos) {
         Some(b'{') => parse_obj(b, pos, depth + 1),
@@ -435,9 +437,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
 
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -998,10 +998,7 @@ impl BenchSnapshot {
             (
                 "pool".to_string(),
                 Json::Obj(vec![
-                    (
-                        "acquires".to_string(),
-                        Json::Num(self.pool.acquires as f64),
-                    ),
+                    ("acquires".to_string(), Json::Num(self.pool.acquires as f64)),
                     ("reuses".to_string(), Json::Num(self.pool.reuses as f64)),
                     ("builds".to_string(), Json::Num(self.pool.builds as f64)),
                     (
@@ -1058,10 +1055,7 @@ impl BenchSnapshot {
             .get("quick")
             .and_then(Json::as_bool)
             .ok_or("snapshot missing `quick`".to_string())?;
-        snap.backend = v
-            .get("backend")
-            .and_then(Json::as_str)
-            .map(str::to_string);
+        snap.backend = v.get("backend").and_then(Json::as_str).map(str::to_string);
         if let Some(s) = v.get("shard") {
             let shard_u = |name: &str| -> Result<u64, String> {
                 s.get(name)
@@ -1134,7 +1128,9 @@ pub struct DiffOptions {
 
 impl Default for DiffOptions {
     fn default() -> Self {
-        DiffOptions { wall_tolerance: 0.5 }
+        DiffOptions {
+            wall_tolerance: 0.5,
+        }
     }
 }
 
@@ -1176,8 +1172,7 @@ pub fn diff(base: &BenchSnapshot, new: &BenchSnapshot, opts: &DiffOptions) -> Di
         r.compared += 1;
         let mut exact = |name: &str, a: u64, b: u64| {
             if a != b {
-                r.breaches
-                    .push(format!("{key}: {name} changed {a} -> {b}"));
+                r.breaches.push(format!("{key}: {name} changed {a} -> {b}"));
             }
         };
         exact("runs", e.runs, n.runs);
@@ -1385,7 +1380,11 @@ mod tests {
         let json = snap.to_json();
         let parsed = BenchSnapshot::parse(&json).unwrap();
         assert_eq!(parsed, snap);
-        assert_eq!(parsed.to_json(), json, "render -> parse -> render is a fixpoint");
+        assert_eq!(
+            parsed.to_json(),
+            json,
+            "render -> parse -> render is a fixpoint"
+        );
     }
 
     #[test]
@@ -1421,7 +1420,9 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_schema_drift() {
-        let json = sample_snapshot().to_json().replace("\"schema\": 2", "\"schema\": 999");
+        let json = sample_snapshot()
+            .to_json()
+            .replace("\"schema\": 2", "\"schema\": 999");
         let err = BenchSnapshot::parse(&json).unwrap_err();
         assert!(err.contains("schema version mismatch"), "{err}");
     }
@@ -1467,7 +1468,10 @@ mod tests {
             ("obj".to_string(), Json::Obj(vec![])),
         ]);
         let line = v.render_compact();
-        assert_eq!(line, r#"{"v":1,"kind":"heartbeat","xs":[1,true,null],"obj":{}}"#);
+        assert_eq!(
+            line,
+            r#"{"v":1,"kind":"heartbeat","xs":[1,true,null],"obj":{}}"#
+        );
         assert!(!line.contains('\n'));
         assert_eq!(Json::parse(&line).unwrap(), v);
     }
@@ -1492,7 +1496,12 @@ mod tests {
         let mut c = a.clone();
         c.entries[0].design = "W+".to_string();
         let r = diff(&a, &c, &DiffOptions::default());
-        assert_eq!(r.breaches.len(), 2, "one missing + one extra: {:?}", r.breaches);
+        assert_eq!(
+            r.breaches.len(),
+            2,
+            "one missing + one extra: {:?}",
+            r.breaches
+        );
     }
 
     #[test]
@@ -1530,7 +1539,11 @@ mod tests {
         t.enter("a");
         t.finish();
         let names: Vec<&str> = t.phases().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"], "re-entry accumulates, order is first-entry");
+        assert_eq!(
+            names,
+            vec!["a", "b"],
+            "re-entry accumulates, order is first-entry"
+        );
     }
 
     #[test]
@@ -1544,7 +1557,10 @@ mod tests {
     fn peak_rss_parses_on_linux() {
         // On Linux this must produce a sane nonzero value; elsewhere None.
         if let Some(rss) = peak_rss_bytes() {
-            assert!(rss > 1024 * 1024, "peak RSS under 1 MiB is implausible: {rss}");
+            assert!(
+                rss > 1024 * 1024,
+                "peak RSS under 1 MiB is implausible: {rss}"
+            );
         }
     }
 }

@@ -633,11 +633,9 @@ impl TraceSink {
             // Issue/complete pairs are already rendered as spans.
             let (name, cat, args): (String, &str, String) = match e.kind {
                 TraceKind::FenceIssue { .. } | TraceKind::FenceComplete { .. } => continue,
-                TraceKind::FenceDemote { serial } => (
-                    "wee-demote".into(),
-                    "fence",
-                    format!("\"serial\":{serial}"),
-                ),
+                TraceKind::FenceDemote { serial } => {
+                    ("wee-demote".into(), "fence", format!("\"serial\":{serial}"))
+                }
                 TraceKind::OrderComplete { line, conditional } => (
                     if conditional { "cond-order" } else { "order" }.into(),
                     "order",
@@ -657,16 +655,12 @@ impl TraceSink {
                 TraceKind::BsEvict { entries } => {
                     ("bs-evict".into(), "bs", format!("\"entries\":{entries}"))
                 }
-                TraceKind::Checkpoint { serial } => (
-                    "checkpoint".into(),
-                    "wplus",
-                    format!("\"serial\":{serial}"),
-                ),
-                TraceKind::Rollback { serial } => (
-                    "rollback".into(),
-                    "wplus",
-                    format!("\"serial\":{serial}"),
-                ),
+                TraceKind::Checkpoint { serial } => {
+                    ("checkpoint".into(), "wplus", format!("\"serial\":{serial}"))
+                }
+                TraceKind::Rollback { serial } => {
+                    ("rollback".into(), "wplus", format!("\"serial\":{serial}"))
+                }
                 TraceKind::NocHop {
                     src,
                     dst,
@@ -748,8 +742,22 @@ mod tests {
     #[test]
     fn issue_complete_pairs_into_a_span() {
         let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(10, 0, TraceKind::FenceIssue { serial: 1, class: FenceClass::Weak }));
-        s.record(ev(12, 0, TraceKind::StoreBounce { line: LineAddr::from_raw(4), attempt: 1 }));
+        s.record(ev(
+            10,
+            0,
+            TraceKind::FenceIssue {
+                serial: 1,
+                class: FenceClass::Weak,
+            },
+        ));
+        s.record(ev(
+            12,
+            0,
+            TraceKind::StoreBounce {
+                line: LineAddr::from_raw(4),
+                attempt: 1,
+            },
+        ));
         s.record(ev(70, 0, TraceKind::FenceComplete { serial: 1 }));
         let spans = s.spans();
         assert_eq!(spans.len(), 1);
@@ -763,8 +771,22 @@ mod tests {
     #[test]
     fn rollback_squashes_open_fences() {
         let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(10, 2, TraceKind::FenceIssue { serial: 1, class: FenceClass::Weak }));
-        s.record(ev(20, 2, TraceKind::FenceIssue { serial: 2, class: FenceClass::Weak }));
+        s.record(ev(
+            10,
+            2,
+            TraceKind::FenceIssue {
+                serial: 1,
+                class: FenceClass::Weak,
+            },
+        ));
+        s.record(ev(
+            20,
+            2,
+            TraceKind::FenceIssue {
+                serial: 2,
+                class: FenceClass::Weak,
+            },
+        ));
         s.record(ev(500, 2, TraceKind::Rollback { serial: 1 }));
         let spans = s.spans();
         assert_eq!(spans.len(), 2);
@@ -778,13 +800,24 @@ mod tests {
     fn ring_evicts_oldest_but_tallies_stay_exact() {
         let mut s = TraceSink::with_capacity(FenceDesign::SPlus, 4);
         for i in 0..10 {
-            s.record(ev(i, 0, TraceKind::FenceIssue { serial: i, class: FenceClass::Strong }));
+            s.record(ev(
+                i,
+                0,
+                TraceKind::FenceIssue {
+                    serial: i,
+                    class: FenceClass::Strong,
+                },
+            ));
             s.record(ev(i + 1, 0, TraceKind::FenceComplete { serial: i }));
         }
         assert_eq!(s.len(), 4);
         assert_eq!(s.dropped(), 16);
         assert_eq!(s.recorded(), 20);
-        assert_eq!(s.tally(FenceClass::Strong).completed, 10, "exact despite eviction");
+        assert_eq!(
+            s.tally(FenceClass::Strong).completed,
+            10,
+            "exact despite eviction"
+        );
         let newest = s.events().last().unwrap();
         assert_eq!(newest.cycle, 10);
     }
@@ -792,11 +825,39 @@ mod tests {
     #[test]
     fn bounces_attach_to_the_oldest_open_fence() {
         let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(1, 0, TraceKind::StoreBounce { line: LineAddr::from_raw(1), attempt: 1 }));
+        s.record(ev(
+            1,
+            0,
+            TraceKind::StoreBounce {
+                line: LineAddr::from_raw(1),
+                attempt: 1,
+            },
+        ));
         assert_eq!(s.unattributed_bounces(), 1);
-        s.record(ev(2, 0, TraceKind::FenceIssue { serial: 5, class: FenceClass::Weak }));
-        s.record(ev(3, 0, TraceKind::FenceIssue { serial: 6, class: FenceClass::Weak }));
-        s.record(ev(4, 0, TraceKind::StoreBounce { line: LineAddr::from_raw(1), attempt: 2 }));
+        s.record(ev(
+            2,
+            0,
+            TraceKind::FenceIssue {
+                serial: 5,
+                class: FenceClass::Weak,
+            },
+        ));
+        s.record(ev(
+            3,
+            0,
+            TraceKind::FenceIssue {
+                serial: 6,
+                class: FenceClass::Weak,
+            },
+        ));
+        s.record(ev(
+            4,
+            0,
+            TraceKind::StoreBounce {
+                line: LineAddr::from_raw(1),
+                attempt: 2,
+            },
+        ));
         s.record(ev(9, 0, TraceKind::FenceComplete { serial: 5 }));
         assert_eq!(s.spans()[0].bounces, 1);
     }
@@ -842,8 +903,24 @@ mod tests {
     #[test]
     fn chrome_json_is_loadable_shape() {
         let mut s = TraceSink::new(FenceDesign::Wee);
-        s.record(ev(10, 1, TraceKind::FenceIssue { serial: 1, class: FenceClass::WeeWeak }));
-        s.record(ev(11, 1, TraceKind::NocHop { src: 1, dst: 0, hops: 1, msg: "GrtDepositAndRead" }));
+        s.record(ev(
+            10,
+            1,
+            TraceKind::FenceIssue {
+                serial: 1,
+                class: FenceClass::WeeWeak,
+            },
+        ));
+        s.record(ev(
+            11,
+            1,
+            TraceKind::NocHop {
+                src: 1,
+                dst: 0,
+                hops: 1,
+                msg: "GrtDepositAndRead",
+            },
+        ));
         s.record(ev(40, 1, TraceKind::FenceComplete { serial: 1 }));
         let json = s.chrome_json();
         assert!(json.starts_with("{\"displayTimeUnit\""));

@@ -45,7 +45,11 @@ fn stats_gen() -> impl asymfence_common::prop::Gen<Value = MachineStats> {
             pairs(u64s(0, 1 << 40), bools()),
             triples(u64s(0, 1 << 30), u64s(0, 1 << 30), u64s(0, 1 << 20)),
             // 0..=4 cores so merges exercise the index-extension path.
-            vecs(vecs(u64s(0, 1 << 20), CoreStats::FIELDS, CoreStats::FIELDS), 0, 4),
+            vecs(
+                vecs(u64s(0, 1 << 20), CoreStats::FIELDS, CoreStats::FIELDS),
+                0,
+                4,
+            ),
         ),
         build_stats,
     )
