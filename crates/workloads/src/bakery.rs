@@ -11,7 +11,7 @@
 //! WS+ scenario) or let every thread run fast (`AllCritical` — the W+
 //! scenario).
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, FenceSite, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 

@@ -10,7 +10,7 @@
 //! The owner's fence is `Critical` (weak under WS+/SW+), the revoker's is
 //! `NonCritical` — the asymmetric fence group the paper's §4.4 points at.
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, Fetch, RmwKind, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
@@ -259,7 +259,11 @@ pub fn programs(
                 tid,
                 is_owner,
                 layout.clone(),
-                if is_owner { owner_iters } else { contender_iters },
+                if is_owner {
+                    owner_iters
+                } else {
+                    contender_iters
+                },
                 60,
                 if is_owner { (40, 120) } else { (1200, 3600) },
                 root.fork(tid as u64),

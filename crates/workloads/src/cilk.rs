@@ -367,7 +367,10 @@ impl CilkWorker {
                             self.state = WState::CheckDone { tags };
                         } else {
                             let m = self.start_steal();
-                            self.state = WState::Stealing { m, tries: tries + 1 };
+                            self.state = WState::Stealing {
+                                m,
+                                tries: tries + 1,
+                            };
                         }
                     }
                 }
@@ -469,7 +472,12 @@ fn build(
     let profile = app.profile();
     let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
     // Scratch sized 2x the L1 so the store stream always misses the L1.
-    let layout = CilkLayout::new(&mut alloc, workers, 2 * cfg.l1_bytes, cfg.interleave_bytes());
+    let layout = CilkLayout::new(
+        &mut alloc,
+        workers,
+        2 * cfg.l1_bytes,
+        cfg.interleave_bytes(),
+    );
     let mut root_rng = SimRng::new(seed ^ hash64(app as u64));
     let progs = (0..workers)
         .map(|tid| {

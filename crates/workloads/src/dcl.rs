@@ -11,7 +11,7 @@
 //! designs would accelerate on weaker models (readers `Critical`,
 //! initializer `NonCritical`).
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, FenceSite, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, RmwKind, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
@@ -77,13 +77,7 @@ pub struct DclThread {
 }
 
 impl DclThread {
-    fn new(
-        tid: usize,
-        layout: DclLayout,
-        fenced: bool,
-        iterations: u64,
-        rng: SimRng,
-    ) -> Self {
+    fn new(tid: usize, layout: DclLayout, fenced: bool, iterations: u64, rng: SimRng) -> Self {
         DclThread {
             tid,
             layout,

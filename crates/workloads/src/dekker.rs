@@ -16,7 +16,7 @@
 //! critical section) or a deadlock, both of which the explorer oracle
 //! detects.
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, FenceSite, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 

@@ -8,7 +8,9 @@
 //! the critical post-fence load is an L1 hit, and a cold "dummy" store
 //! that keeps the write buffer busy while the fence group forms.
 
-use asymfence::prelude::{Addr, FenceRole, FenceSite, Instr, Registers, ScriptProgram, ThreadProgram};
+use asymfence::prelude::{
+    Addr, FenceRole, FenceSite, Instr, Registers, ScriptProgram, ThreadProgram,
+};
 
 /// Programs plus their observation registers.
 pub type LitmusSetup = (Vec<Box<dyn ThreadProgram>>, Vec<Registers>);
@@ -20,10 +22,19 @@ const SPIN: u64 = 1600;
 
 fn side(mine: Addr, other: Addr, dummy: Addr, fence: Option<(FenceSite, FenceRole)>) -> Vec<Instr> {
     let mut v = vec![
-        Instr::Load { addr: other, tag: None }, // warm the observed line
+        Instr::Load {
+            addr: other,
+            tag: None,
+        }, // warm the observed line
         Instr::Compute { cycles: SPIN },
-        Instr::Store { addr: dummy, value: 1 }, // cold: holds the WB ~200 cycles
-        Instr::Store { addr: mine, value: 1 },
+        Instr::Store {
+            addr: dummy,
+            value: 1,
+        }, // cold: holds the WB ~200 cycles
+        Instr::Store {
+            addr: mine,
+            value: 1,
+        },
     ];
     if let Some((site, role)) = fence {
         v.push(Instr::fence_at(site, role));
@@ -62,7 +73,12 @@ pub fn three_thread_cycle(roles: [FenceRole; 3]) -> LitmusSetup {
     let y = Addr::new(0x40);
     let z = Addr::new(0x80);
     let mk = |mine, other, i: usize, role| {
-        ScriptProgram::new(side(mine, other, dummy(i), Some((FenceSite(i as u32), role))))
+        ScriptProgram::new(side(
+            mine,
+            other,
+            dummy(i),
+            Some((FenceSite(i as u32), role)),
+        ))
     };
     let (p0, r0) = mk(x, y, 0, roles[0]);
     let (p1, r1) = mk(y, z, 1, roles[1]);
@@ -95,8 +111,14 @@ pub fn message_passing() -> LitmusSetup {
     let data = Addr::new(0x00);
     let flag = Addr::new(0x40);
     let (p0, r0) = ScriptProgram::new(vec![
-        Instr::Store { addr: data, value: 1 },
-        Instr::Store { addr: flag, value: 1 },
+        Instr::Store {
+            addr: data,
+            value: 1,
+        },
+        Instr::Store {
+            addr: flag,
+            value: 1,
+        },
         Instr::Load {
             addr: data,
             tag: Some(OBSERVED),
@@ -130,9 +152,15 @@ pub fn message_passing_fenced(role_a: FenceRole, role_b: FenceRole) -> LitmusSet
     let data = Addr::new(0x00);
     let flag = Addr::new(0x40);
     let (p0, r0) = ScriptProgram::new(vec![
-        Instr::Store { addr: data, value: 1 },
+        Instr::Store {
+            addr: data,
+            value: 1,
+        },
         Instr::fence_at(FenceSite(0), role_a),
-        Instr::Store { addr: flag, value: 1 },
+        Instr::Store {
+            addr: flag,
+            value: 1,
+        },
         Instr::Load {
             addr: data,
             tag: Some(OBSERVED),
@@ -164,7 +192,10 @@ pub fn load_buffering() -> LitmusSetup {
                 addr: other,
                 tag: Some(OBSERVED),
             },
-            Instr::Store { addr: mine, value: 1 },
+            Instr::Store {
+                addr: mine,
+                value: 1,
+            },
         ])
     };
     let (p0, r0) = mk(y, x);
@@ -313,11 +344,7 @@ mod tests {
     fn false_sharing_resolved_by_order_ops() {
         use FenceRole::Critical;
         for design in [FenceDesign::WsPlus, FenceDesign::SwPlus, FenceDesign::WPlus] {
-            let (outcome, _) = run(
-                design,
-                false_sharing_pair(Critical, Critical),
-                40_000_000,
-            );
+            let (outcome, _) = run(design, false_sharing_pair(Critical, Critical), 40_000_000);
             assert_eq!(outcome, RunOutcome::Finished, "{design}");
         }
     }

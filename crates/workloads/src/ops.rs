@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use asymfence_common::hash::FxHashMap;
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, FenceSite, Instr, RmwKind};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, Instr, RmwKind};
 
 /// A tag identifying a delivered value.
 pub type Tag = u64;
@@ -159,7 +159,10 @@ mod tests {
         ops.store(Addr::new(0), 1);
         let t = ops.load(Addr::new(8));
         ops.compute(5);
-        assert!(matches!(ops.poll(), Some(Fetch::Instr(Instr::Store { .. }))));
+        assert!(matches!(
+            ops.poll(),
+            Some(Fetch::Instr(Instr::Store { .. }))
+        ));
         assert!(matches!(ops.poll(), Some(Fetch::Instr(Instr::Load { .. }))));
         assert!(matches!(ops.poll(), Some(Fetch::Await)), "blocked on load");
         ops.deliver(t, 42);

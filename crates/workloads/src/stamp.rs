@@ -190,8 +190,8 @@ pub fn install(m: &mut asymfence::Machine, app: StampApp, seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asymfence::prelude::*;
     use crate::tlrw::tally;
+    use asymfence::prelude::*;
 
     #[test]
     fn names_and_targets() {

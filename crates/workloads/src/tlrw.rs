@@ -24,7 +24,7 @@
 //! --crossval` compares its wall-clock ranking against this simulated
 //! version's cycle ranking.
 
-use asymfence::prelude::{Addr, Fetch, FenceRole, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, Fetch, RmwKind, ThreadProgram};
 use asymfence_common::rng::SimRng;
 
 use crate::layout::{AddressAllocator, Scratch};
@@ -242,9 +242,21 @@ const BARRIER_PATIENCE: u32 = 3;
 enum TxState {
     Begin,
     NextOp,
-    ReadWaitWriter { loc: u64, tag: Tag, patience: u32 },
-    WriteWaitCas { loc: u64, tag: Tag, patience: u32 },
-    WriteWaitReaders { loc: u64, tags: Vec<Tag>, patience: u32 },
+    ReadWaitWriter {
+        loc: u64,
+        tag: Tag,
+        patience: u32,
+    },
+    WriteWaitCas {
+        loc: u64,
+        tag: Tag,
+        patience: u32,
+    },
+    WriteWaitReaders {
+        loc: u64,
+        tags: Vec<Tag>,
+        patience: u32,
+    },
     Commit,
     Abort,
     Finished,
@@ -447,7 +459,11 @@ impl TlrwProgram {
                 };
                 true
             }
-            TxState::WriteWaitReaders { loc, tags, patience } => {
+            TxState::WriteWaitReaders {
+                loc,
+                tags,
+                patience,
+            } => {
                 let mut busy = false;
                 for t in &tags {
                     if self.ops.take(*t) != 0 {
@@ -573,7 +589,12 @@ pub fn install(
     let cfg = m.config().clone();
     let threads = cfg.num_cores;
     let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
-    let layout = TlrwLayout::with_chunk(&mut alloc, threads, profile.locations, cfg.interleave_bytes());
+    let layout = TlrwLayout::with_chunk(
+        &mut alloc,
+        threads,
+        profile.locations,
+        cfg.interleave_bytes(),
+    );
     // Warm every lock object's lines and the log buffers.
     let obj_words = threads as u64 + 2;
     for loc in 0..profile.locations {

@@ -60,7 +60,10 @@ impl InferredKernel {
 
     /// Parses a kernel name.
     pub fn from_name(name: &str) -> Option<InferredKernel> {
-        InferredKernel::ALL.iter().copied().find(|k| k.name() == name)
+        InferredKernel::ALL
+            .iter()
+            .copied()
+            .find(|k| k.name() == name)
     }
 
     /// Cores/threads the kernel needs.

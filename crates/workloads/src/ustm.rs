@@ -64,7 +64,11 @@ impl UstmBench {
 
     /// The 50/25/25 lookup/insert/delete mix with structure-specific
     /// read/write-set sizes.
-    fn mix(lookup_reads: (u64, u64), upd_reads: (u64, u64), upd_writes: (u64, u64)) -> Vec<TxClass> {
+    fn mix(
+        lookup_reads: (u64, u64),
+        upd_reads: (u64, u64),
+        upd_writes: (u64, u64),
+    ) -> Vec<TxClass> {
         vec![
             TxClass {
                 weight: 2, // 50% lookups
@@ -98,11 +102,7 @@ impl UstmBench {
                     writes: (1, 1),
                 }],
             ),
-            UstmBench::DList => (
-                64,
-                AccessPattern::Chain,
-                Self::mix((3, 8), (3, 8), (2, 3)),
-            ),
+            UstmBench::DList => (64, AccessPattern::Chain, Self::mix((3, 8), (3, 8), (2, 3))),
             UstmBench::Forest => (
                 256,
                 AccessPattern::TreePath,
@@ -179,7 +179,12 @@ pub fn programs(
     seed: u64,
     target_commits: Option<u64>,
 ) -> Vec<Box<dyn ThreadProgram>> {
-    tlrw::programs(&bench.profile(), cfg, seed ^ (bench as u64) << 8, target_commits)
+    tlrw::programs(
+        &bench.profile(),
+        cfg,
+        seed ^ (bench as u64) << 8,
+        target_commits,
+    )
 }
 
 /// Installs the benchmark on a machine with warmed metadata (preferred).
@@ -189,14 +194,19 @@ pub fn install(
     seed: u64,
     target_commits: Option<u64>,
 ) {
-    tlrw::install(m, &bench.profile(), seed ^ (bench as u64) << 8, target_commits);
+    tlrw::install(
+        m,
+        &bench.profile(),
+        seed ^ (bench as u64) << 8,
+        target_commits,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asymfence::prelude::*;
     use crate::tlrw::tally;
+    use asymfence::prelude::*;
 
     #[test]
     fn all_names_unique() {

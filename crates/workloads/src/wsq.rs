@@ -343,7 +343,8 @@ impl WsqDriver {
                 self.rounds -= 1;
                 if self.tid == 0 {
                     self.next_task += 1;
-                    self.local_tail = push(&self.deque, self.local_tail, self.next_task, &mut self.ops);
+                    self.local_tail =
+                        push(&self.deque, self.local_tail, self.next_task, &mut self.ops);
                     self.ops.compute(8 + self.rng.below(16));
                     let take =
                         Take::start_at(&self.deque, self.local_tail, &mut self.ops, owner_site());
@@ -514,7 +515,10 @@ mod tests {
         let head2 = ops.next_pending_tag().unwrap();
         collect_until_wait(&mut ops);
         ops.deliver(head2, 1); // still gone
-        assert_eq!(take.poll(&mut ops), Some(TakeOutcome::Empty { new_tail: 1 }));
+        assert_eq!(
+            take.poll(&mut ops),
+            Some(TakeOutcome::Empty { new_tail: 1 })
+        );
     }
 
     #[test]
@@ -533,8 +537,13 @@ mod tests {
         let tail = ops.next_pending_tag().unwrap();
         let is = collect_until_wait(&mut ops);
         assert!(
-            is.iter()
-                .any(|i| matches!(i, Instr::Fence { role: FenceRole::NonCritical, .. })),
+            is.iter().any(|i| matches!(
+                i,
+                Instr::Fence {
+                    role: FenceRole::NonCritical,
+                    ..
+                }
+            )),
             "thief fence is non-critical"
         );
         ops.deliver(tail, 0); // head+1 = 1 > tail = 0: empty
