@@ -217,7 +217,13 @@ impl DirBank {
     pub fn debug_busy(&self) -> Vec<String> {
         self.busy
             .iter()
-            .map(|(l, t)| format!("{l}: {t:?} sharers={:b} owner={:?}", self.sharers_of(*l), self.owner_of(*l)))
+            .map(|(l, t)| {
+                format!(
+                    "{l}: {t:?} sharers={:b} owner={:?}",
+                    self.sharers_of(*l),
+                    self.owner_of(*l)
+                )
+            })
             .collect()
     }
 
@@ -272,7 +278,10 @@ impl DirBank {
 
     fn line_data(&mut self, line: LineAddr) -> LineData {
         let wpl = self.words_per_line;
-        *self.image.entry(line).or_insert_with(|| LineData::zeroed(wpl))
+        *self
+            .image
+            .entry(line)
+            .or_insert_with(|| LineData::zeroed(wpl))
     }
 
     /// Line address with the bank-selection bits stripped, so this bank's
@@ -355,7 +364,9 @@ impl DirBank {
                 if self.busy.contains_key(&line) {
                     continue;
                 }
-                let Some(q) = self.waiting.get_mut(&line) else { continue };
+                let Some(q) = self.waiting.get_mut(&line) else {
+                    continue;
+                };
                 let Some(next) = q.pop_front() else { continue };
                 if q.is_empty() {
                     self.waiting.remove(&line);
@@ -406,7 +417,9 @@ impl DirBank {
                     .grt
                     .iter()
                     .filter(|(c, _)| **c != core.0)
-                    .flat_map(|(_, fences)| fences.iter().flat_map(|(_, lines)| lines.iter().copied()))
+                    .flat_map(|(_, fences)| {
+                        fences.iter().flat_map(|(_, lines)| lines.iter().copied())
+                    })
                     .collect();
                 remote.sort_unstable();
                 remote.dedup();
@@ -1034,7 +1047,10 @@ mod tests {
         assert!(
             matches!(&out[0].msg, Msg::GrtReply { remote_ps, .. } if remote_ps == &vec![la(8)])
         );
-        b.handle(Msg::GrtRemove { core: CoreId(0), fence_serial: 1 });
+        b.handle(Msg::GrtRemove {
+            core: CoreId(0),
+            fence_serial: 1,
+        });
         let out = b.handle(Msg::GrtDepositAndRead {
             core: CoreId(2),
             fence_serial: 3,

@@ -460,7 +460,10 @@ mod tests {
         let line = LineAddr::from_raw(1);
         assert!(msg_is_retry(&Msg::NackBounce { line }));
         assert!(!msg_is_retry(&Msg::NackBusy { line }));
-        assert!(!msg_is_retry(&Msg::GetS { core: CoreId(0), line }));
+        assert!(!msg_is_retry(&Msg::GetS {
+            core: CoreId(0),
+            line
+        }));
         let gx = |attempt| Msg::GetX {
             core: CoreId(0),
             line,

@@ -50,38 +50,43 @@ fn run_to_idle(
 #[test]
 fn single_core_matches_memory_model() {
     let gen = vecs(triples(u64s(0, 15), u64s(0, 999), bools()), 1, 40);
-    check("single_core_matches_memory_model", &prop_cfg(24), &gen, |ops| {
-        let mut ms = MemSystem::new(&cfg(2));
-        let mut model = std::collections::HashMap::new();
-        let mut t = 0u64;
-        for &(slot, value, is_store) in ops {
-            let addr = Addr::new(slot * 8);
-            if is_store {
-                ms.issue_store(t, CoreId(0), addr, value);
-                let evs = run_to_idle(&mut ms, t, 5_000)?;
-                let store_done = evs
-                    .iter()
-                    .any(|(_, e)| matches!(e, MemEvent::StoreDone { .. }));
-                if !store_done {
-                    return Err("store did not complete".into());
+    check(
+        "single_core_matches_memory_model",
+        &prop_cfg(24),
+        &gen,
+        |ops| {
+            let mut ms = MemSystem::new(&cfg(2));
+            let mut model = std::collections::HashMap::new();
+            let mut t = 0u64;
+            for &(slot, value, is_store) in ops {
+                let addr = Addr::new(slot * 8);
+                if is_store {
+                    ms.issue_store(t, CoreId(0), addr, value);
+                    let evs = run_to_idle(&mut ms, t, 5_000)?;
+                    let store_done = evs
+                        .iter()
+                        .any(|(_, e)| matches!(e, MemEvent::StoreDone { .. }));
+                    if !store_done {
+                        return Err("store did not complete".into());
+                    }
+                    model.insert(slot, value);
+                } else {
+                    let tok = ms.issue_load(t, CoreId(0), addr);
+                    let evs = run_to_idle(&mut ms, t, 5_000)?;
+                    let got = evs.iter().find_map(|(_, e)| match e {
+                        MemEvent::LoadDone { token, value } if *token == tok => Some(*value),
+                        _ => None,
+                    });
+                    let want = Some(*model.get(&slot).unwrap_or(&0));
+                    if got != want {
+                        return Err(format!("load of slot {slot}: got {got:?}, want {want:?}"));
+                    }
                 }
-                model.insert(slot, value);
-            } else {
-                let tok = ms.issue_load(t, CoreId(0), addr);
-                let evs = run_to_idle(&mut ms, t, 5_000)?;
-                let got = evs.iter().find_map(|(_, e)| match e {
-                    MemEvent::LoadDone { token, value } if *token == tok => Some(*value),
-                    _ => None,
-                });
-                let want = Some(*model.get(&slot).unwrap_or(&0));
-                if got != want {
-                    return Err(format!("load of slot {slot}: got {got:?}, want {want:?}"));
-                }
+                t += 5_000;
             }
-            t += 5_000;
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// Write serialization: concurrent stores from many cores to random
@@ -89,80 +94,90 @@ fn single_core_matches_memory_model() {
 #[test]
 fn concurrent_stores_serialize() {
     let gen = vecs(triples(usizes(0, 3), u64s(0, 5), u64s(1, 999)), 4, 32);
-    check("concurrent_stores_serialize", &prop_cfg(24), &gen, |writes| {
-        let mut ms = MemSystem::new(&cfg(4));
-        let mut per_core_busy = [false; 4];
-        // Issue at most one store per core at a time (TSO write buffer).
-        let mut t = 0u64;
-        let mut written: std::collections::HashMap<u64, Vec<u64>> =
-            std::collections::HashMap::new();
-        for &(core, slot, value) in writes {
-            if per_core_busy[core] {
-                // Drain everything before reusing the core.
-                run_to_idle(&mut ms, t, 200_000)?;
-                per_core_busy = [false; 4];
-                t += 200_000;
+    check(
+        "concurrent_stores_serialize",
+        &prop_cfg(24),
+        &gen,
+        |writes| {
+            let mut ms = MemSystem::new(&cfg(4));
+            let mut per_core_busy = [false; 4];
+            // Issue at most one store per core at a time (TSO write buffer).
+            let mut t = 0u64;
+            let mut written: std::collections::HashMap<u64, Vec<u64>> =
+                std::collections::HashMap::new();
+            for &(core, slot, value) in writes {
+                if per_core_busy[core] {
+                    // Drain everything before reusing the core.
+                    run_to_idle(&mut ms, t, 200_000)?;
+                    per_core_busy = [false; 4];
+                    t += 200_000;
+                }
+                ms.issue_store(t, CoreId(core), Addr::new(slot * 8), value);
+                per_core_busy[core] = true;
+                written.entry(slot).or_default().push(value);
+                t += 3; // slight stagger
             }
-            ms.issue_store(t, CoreId(core), Addr::new(slot * 8), value);
-            per_core_busy[core] = true;
-            written.entry(slot).or_default().push(value);
-            t += 3; // slight stagger
-        }
-        run_to_idle(&mut ms, t, 400_000)?;
-        for (slot, values) in &written {
-            let final_v = ms.backdoor_read(Addr::new(slot * 8));
-            if !values.contains(&final_v) {
-                return Err(format!("slot {slot} holds {final_v}, not among {values:?}"));
+            run_to_idle(&mut ms, t, 400_000)?;
+            for (slot, values) in &written {
+                let final_v = ms.backdoor_read(Addr::new(slot * 8));
+                if !values.contains(&final_v) {
+                    return Err(format!("slot {slot} holds {final_v}, not among {values:?}"));
+                }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// Atomicity: N concurrent fetch-add(1) streams to one word sum exactly.
 #[test]
 fn rmw_add_is_atomic() {
-    check("rmw_add_is_atomic", &prop_cfg(24), &u64s(1, 5), |&per_core| {
-        let cores = 4usize;
-        let mut ms = MemSystem::new(&cfg(cores));
-        let addr = Addr::new(0x40);
-        let mut remaining: Vec<u64> = vec![per_core; cores];
-        let mut outstanding: Vec<Option<u64>> = vec![None; cores];
-        let mut done = 0;
-        let mut t = 0u64;
-        while done < cores {
-            for c in 0..cores {
-                if outstanding[c].is_none() && remaining[c] > 0 {
-                    outstanding[c] = Some(ms.issue_rmw(t, CoreId(c), addr, RmwKind::Add(1)));
+    check(
+        "rmw_add_is_atomic",
+        &prop_cfg(24),
+        &u64s(1, 5),
+        |&per_core| {
+            let cores = 4usize;
+            let mut ms = MemSystem::new(&cfg(cores));
+            let addr = Addr::new(0x40);
+            let mut remaining: Vec<u64> = vec![per_core; cores];
+            let mut outstanding: Vec<Option<u64>> = vec![None; cores];
+            let mut done = 0;
+            let mut t = 0u64;
+            while done < cores {
+                for c in 0..cores {
+                    if outstanding[c].is_none() && remaining[c] > 0 {
+                        outstanding[c] = Some(ms.issue_rmw(t, CoreId(c), addr, RmwKind::Add(1)));
+                    }
                 }
-            }
-            ms.tick(t);
-            for c in 0..cores {
-                while let Some(ev) = ms.pop_event(CoreId(c)) {
-                    if let MemEvent::RmwDone { token, .. } = ev {
-                        if outstanding[c] == Some(token) {
-                            outstanding[c] = None;
-                            remaining[c] -= 1;
-                            if remaining[c] == 0 {
-                                done += 1;
+                ms.tick(t);
+                for c in 0..cores {
+                    while let Some(ev) = ms.pop_event(CoreId(c)) {
+                        if let MemEvent::RmwDone { token, .. } = ev {
+                            if outstanding[c] == Some(token) {
+                                outstanding[c] = None;
+                                remaining[c] -= 1;
+                                if remaining[c] == 0 {
+                                    done += 1;
+                                }
                             }
                         }
                     }
                 }
+                t += 1;
+                if t >= 2_000_000 {
+                    return Err("RMW streams must make progress".into());
+                }
             }
-            t += 1;
-            if t >= 2_000_000 {
-                return Err("RMW streams must make progress".into());
+            run_to_idle(&mut ms, t, 100_000)?;
+            let got = ms.backdoor_read(addr);
+            let want = per_core * cores as u64;
+            if got != want {
+                return Err(format!("sum {got}, want {want}"));
             }
-        }
-        run_to_idle(&mut ms, t, 100_000)?;
-        let got = ms.backdoor_read(addr);
-        let want = per_core * cores as u64;
-        if got != want {
-            return Err(format!("sum {got}, want {want}"));
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// A Bypass-Set entry always bounces conflicting writes until cleared,
@@ -170,53 +185,58 @@ fn rmw_add_is_atomic() {
 #[test]
 fn bounce_then_complete() {
     let gen = pairs(u64s(0, 31), u64s(1, 99));
-    check("bounce_then_complete", &prop_cfg(24), &gen, |&(slot, value)| {
-        let mut ms = MemSystem::new(&cfg(2));
-        let addr = Addr::new(slot * 8);
-        let line = asymfence_common::ids::LineAddr::containing(addr, 32);
-        // Core 1 reads and protects the line.
-        ms.issue_load(0, CoreId(1), addr);
-        run_to_idle(&mut ms, 0, 10_000)?;
-        ms.bs_insert(CoreId(1), line, 1, 1);
-        // Core 0 writes: must bounce at least once.
-        let tok = ms.issue_store(10_000, CoreId(0), addr, value);
-        let mut bounced = false;
-        for t in 10_000..60_000 {
-            ms.tick(t);
-            while let Some(ev) = ms.pop_event(CoreId(0)) {
-                if matches!(ev, MemEvent::StoreBounced { token } if token == tok) {
-                    bounced = true;
+    check(
+        "bounce_then_complete",
+        &prop_cfg(24),
+        &gen,
+        |&(slot, value)| {
+            let mut ms = MemSystem::new(&cfg(2));
+            let addr = Addr::new(slot * 8);
+            let line = asymfence_common::ids::LineAddr::containing(addr, 32);
+            // Core 1 reads and protects the line.
+            ms.issue_load(0, CoreId(1), addr);
+            run_to_idle(&mut ms, 0, 10_000)?;
+            ms.bs_insert(CoreId(1), line, 1, 1);
+            // Core 0 writes: must bounce at least once.
+            let tok = ms.issue_store(10_000, CoreId(0), addr, value);
+            let mut bounced = false;
+            for t in 10_000..60_000 {
+                ms.tick(t);
+                while let Some(ev) = ms.pop_event(CoreId(0)) {
+                    if matches!(ev, MemEvent::StoreBounced { token } if token == tok) {
+                        bounced = true;
+                    }
+                }
+                if bounced {
+                    break;
                 }
             }
-            if bounced {
-                break;
+            if !bounced {
+                return Err("BS must bounce the conflicting write".into());
             }
-        }
-        if !bounced {
-            return Err("BS must bounce the conflicting write".into());
-        }
-        // Clear the BS: the store completes and the value lands.
-        ms.bs_clear_completed(CoreId(1), 1);
-        let mut completed = false;
-        for t in 60_000..200_000 {
-            ms.tick(t);
-            while let Some(ev) = ms.pop_event(CoreId(0)) {
-                if matches!(ev, MemEvent::StoreDone { token } if token == tok) {
-                    completed = true;
+            // Clear the BS: the store completes and the value lands.
+            ms.bs_clear_completed(CoreId(1), 1);
+            let mut completed = false;
+            for t in 60_000..200_000 {
+                ms.tick(t);
+                while let Some(ev) = ms.pop_event(CoreId(0)) {
+                    if matches!(ev, MemEvent::StoreDone { token } if token == tok) {
+                        completed = true;
+                    }
+                }
+                while ms.pop_event(CoreId(1)).is_some() {}
+                if completed && ms.is_idle() {
+                    break;
                 }
             }
-            while ms.pop_event(CoreId(1)).is_some() {}
-            if completed && ms.is_idle() {
-                break;
+            if !completed {
+                return Err("store must complete after BS clear".into());
             }
-        }
-        if !completed {
-            return Err("store must complete after BS clear".into());
-        }
-        let got = ms.backdoor_read(addr);
-        if got != value {
-            return Err(format!("memory holds {got}, want {value}"));
-        }
-        Ok(())
-    });
+            let got = ms.backdoor_read(addr);
+            if got != value {
+                return Err(format!("memory holds {got}, want {value}"));
+            }
+            Ok(())
+        },
+    );
 }
