@@ -61,9 +61,7 @@ pub fn extract_windows(traces: &[ThreadTrace], line_bytes: u64) -> Vec<WindowInf
                         if s == w {
                             continue; // same-word store forwarding
                         }
-                        let e = map
-                            .entry((thread, s / line_bytes, load_line))
-                            .or_default();
+                        let e = map.entry((thread, s / line_bytes, load_line)).or_default();
                         e.0.insert(s);
                         e.1.insert(w);
                     }
@@ -72,13 +70,15 @@ pub fn extract_windows(traces: &[ThreadTrace], line_bytes: u64) -> Vec<WindowInf
         }
     }
     map.into_iter()
-        .map(|((thread, store_line, load_line), (store_words, load_words))| WindowInfo {
-            thread,
-            store_line,
-            load_line,
-            store_words,
-            load_words,
-        })
+        .map(
+            |((thread, store_line, load_line), (store_words, load_words))| WindowInfo {
+                thread,
+                store_line,
+                load_line,
+                store_words,
+                load_words,
+            },
+        )
         .collect()
 }
 
@@ -89,19 +89,23 @@ pub fn merge_windows(sets: Vec<Vec<WindowInfo>>) -> Vec<WindowInfo> {
     let mut map: WindowMap = BTreeMap::new();
     for set in sets {
         for w in set {
-            let e = map.entry((w.thread, w.store_line, w.load_line)).or_default();
+            let e = map
+                .entry((w.thread, w.store_line, w.load_line))
+                .or_default();
             e.0.extend(w.store_words);
             e.1.extend(w.load_words);
         }
     }
     map.into_iter()
-        .map(|((thread, store_line, load_line), (store_words, load_words))| WindowInfo {
-            thread,
-            store_line,
-            load_line,
-            store_words,
-            load_words,
-        })
+        .map(
+            |((thread, store_line, load_line), (store_words, load_words))| WindowInfo {
+                thread,
+                store_line,
+                load_line,
+                store_words,
+                load_words,
+            },
+        )
         .collect()
 }
 

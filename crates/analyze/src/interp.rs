@@ -186,7 +186,11 @@ mod tests {
 
     fn run_kernel(kernel: InferredKernel, variant: u64) -> InterpResult {
         let cfg = MachineConfig::builder().cores(kernel.cores()).build();
-        run_programs(kernel.programs(&cfg, asymfence_bench::SEED), variant, STEP_CAP)
+        run_programs(
+            kernel.programs(&cfg, asymfence_bench::SEED),
+            variant,
+            STEP_CAP,
+        )
     }
 
     #[test]
@@ -194,8 +198,16 @@ mod tests {
         let r = run_kernel(InferredKernel::Sb, 0);
         assert!(r.finished);
         for trace in &r.traces {
-            let stores = trace.accesses.iter().filter(|a| matches!(a, Access::Store(_))).count();
-            let loads = trace.accesses.iter().filter(|a| matches!(a, Access::Load(_))).count();
+            let stores = trace
+                .accesses
+                .iter()
+                .filter(|a| matches!(a, Access::Store(_)))
+                .count();
+            let loads = trace
+                .accesses
+                .iter()
+                .filter(|a| matches!(a, Access::Load(_)))
+                .count();
             assert!(stores >= 1 && loads >= 1, "{:?}", trace.accesses);
             // Program order: a store precedes the final (observed) load.
             let first_store = trace
@@ -241,7 +253,12 @@ mod tests {
             .collect();
         let distinct = rs
             .iter()
-            .map(|r| format!("{:?}", r.traces.iter().map(|t| &t.accesses).collect::<Vec<_>>()))
+            .map(|r| {
+                format!(
+                    "{:?}",
+                    r.traces.iter().map(|t| &t.accesses).collect::<Vec<_>>()
+                )
+            })
             .collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 1, "all variants produced identical traces");
     }

@@ -174,11 +174,15 @@ mod tests {
 
     #[test]
     fn c_exprs_are_distinct() {
-        let exprs: std::collections::HashSet<&str> =
-            [C11Lower::Compiler, C11Lower::SeqCst, C11Lower::Light, C11Lower::Heavy]
-                .iter()
-                .map(|l| l.c_expr())
-                .collect();
+        let exprs: std::collections::HashSet<&str> = [
+            C11Lower::Compiler,
+            C11Lower::SeqCst,
+            C11Lower::Light,
+            C11Lower::Heavy,
+        ]
+        .iter()
+        .map(|l| l.c_expr())
+        .collect();
         assert_eq!(exprs.len(), 4);
     }
 }

@@ -71,7 +71,11 @@ pub fn analyze(kernel: InferredKernel, seed: u64) -> Analysis {
 /// [`analyze`] against an explicit machine config (the line size is the
 /// one knob that matters: windows and triggers are line-granular).
 pub fn analyze_with(kernel: InferredKernel, cfg: &MachineConfig, seed: u64) -> Analysis {
-    let i = infer(&|variant| kernel.programs(cfg, seed ^ variant), cfg, kernel.name());
+    let i = infer(
+        &|variant| kernel.programs(cfg, seed ^ variant),
+        cfg,
+        kernel.name(),
+    );
     Analysis {
         kernel,
         placement: i.placement,
@@ -216,14 +220,21 @@ fn infer(
     //    two fences would look conflict-free).
     let crit_set: BTreeSet<(usize, u64, u64)> = critical
         .iter()
-        .map(|&i| (windows[i].thread, windows[i].store_line, windows[i].load_line))
+        .map(|&i| {
+            (
+                windows[i].thread,
+                windows[i].store_line,
+                windows[i].load_line,
+            )
+        })
         .collect();
     for round in 0.. {
         assert!(round < 32, "coverage attribution failed to converge");
         let mut changed = false;
         for r in &runs {
             for (thread, trace) in r.traces.iter().enumerate() {
-                changed |= attribute_coverage(thread, trace, cfg.line_bytes, &crit_set, &mut drafts);
+                changed |=
+                    attribute_coverage(thread, trace, cfg.line_bytes, &crit_set, &mut drafts);
             }
         }
         if !changed {
@@ -394,7 +405,11 @@ mod tests {
         let a = analyze(InferredKernel::Sb, asymfence_bench::SEED);
         for (i, f) in a.placement.fences.iter().enumerate() {
             assert_eq!(f.site, synthetic_site(i as u32));
-            assert!(f.label.starts_with(&format!("t{}@0x", f.thread)), "{}", f.label);
+            assert!(
+                f.label.starts_with(&format!("t{}@0x", f.thread)),
+                "{}",
+                f.label
+            );
         }
     }
 }

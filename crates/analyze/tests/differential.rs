@@ -142,7 +142,12 @@ fn analysis_properties_hold_across_seeds() {
                 .collect();
             let mut sorted = keys.clone();
             sorted.sort();
-            assert_eq!(keys, sorted, "{}: sites must be canonically sorted", k.name());
+            assert_eq!(
+                keys,
+                sorted,
+                "{}: sites must be canonically sorted",
+                k.name()
+            );
         }
     }
 }
@@ -168,9 +173,24 @@ fn pinned_regression_seeds_reproduce_exactly() {
         let cycles: u64 = parts.next().unwrap().parse().unwrap();
         let labels = parts.next().unwrap();
         let a: Analysis = analyze(kernel, seed);
-        let got: Vec<&str> = a.placement.fences.iter().map(|f| f.label.as_str()).collect();
-        assert_eq!(got.join(","), labels, "{} seed {seed}: placement drifted", kernel.name());
-        assert_eq!(a.cycles, cycles, "{} seed {seed}: cycle count drifted", kernel.name());
+        let got: Vec<&str> = a
+            .placement
+            .fences
+            .iter()
+            .map(|f| f.label.as_str())
+            .collect();
+        assert_eq!(
+            got.join(","),
+            labels,
+            "{} seed {seed}: placement drifted",
+            kernel.name()
+        );
+        assert_eq!(
+            a.cycles,
+            cycles,
+            "{} seed {seed}: cycle count drifted",
+            kernel.name()
+        );
         checked += 1;
     }
     assert!(checked >= 24, "pin file lost lines: {checked}");
