@@ -578,12 +578,7 @@ mod tests {
                 let fail = s.decisions.len() == 2 && s.decisions[1] == 1;
                 let fp = s.decisions.iter().map(|&d| u64::from(d) + 1).sum::<u64>()
                     + 10 * s.decisions.len() as u64;
-                obs(
-                    3,
-                    fail.then_some(Failure::Deadlock),
-                    fp,
-                    fp,
-                )
+                obs(3, fail.then_some(Failure::Deadlock), fp, fp)
             });
             // Runs: root, probe@2, probe@1 (fails). probe@0 never runs.
             assert_eq!(out.executed, 3, "jobs={jobs}");

@@ -35,7 +35,9 @@ fn padded_sb_shrinks_away_the_noise() {
         ..Default::default()
     });
     let report = ex.sweep(&Scenario::store_buffering_padded(), FenceDesign::SPlus);
-    let cex = report.violation.expect("padded unfenced SB must violate SC");
+    let cex = report
+        .violation
+        .expect("padded unfenced SB must violate SC");
     assert!(
         cex.scenario.threads.len() <= 2,
         "bystander thread survived shrinking: {}",
@@ -67,9 +69,7 @@ fn counterexample_report_is_reproducible_and_readable() {
     assert!(text.contains("SC-violation cycle"));
     assert!(text.contains("reproduce"));
     // The reported seed really does reproduce the failure.
-    assert!(ex
-        .run_seed(&cex.scenario, cex.design, cex.seed)
-        .is_some());
+    assert!(ex.run_seed(&cex.scenario, cex.design, cex.seed).is_some());
 }
 
 /// Exploration is a pure function of the config: two sweeps agree on the
@@ -81,8 +81,14 @@ fn sweeps_are_deterministic() {
         ..Default::default()
     });
     let sc = Scenario::store_buffering(false);
-    let a = ex.sweep(&sc, FenceDesign::WPlus).violation.expect("violates");
-    let b = ex.sweep(&sc, FenceDesign::WPlus).violation.expect("violates");
+    let a = ex
+        .sweep(&sc, FenceDesign::WPlus)
+        .violation
+        .expect("violates");
+    let b = ex
+        .sweep(&sc, FenceDesign::WPlus)
+        .violation
+        .expect("violates");
     assert_eq!(a.seed, b.seed);
     assert_eq!(a.found_seed, b.found_seed);
     assert_eq!(a.scenario, b.scenario);
