@@ -276,7 +276,10 @@ mod tests {
         assert_eq!(structural_reject(FenceDesign::SPlus, &groups, 0), None);
         assert!(structural_reject(FenceDesign::SPlus, &groups, 0b0001).is_some());
         // WS+: at most one weak per group; ungrouped bits are free.
-        assert_eq!(structural_reject(FenceDesign::WsPlus, &groups, 0b0101), None);
+        assert_eq!(
+            structural_reject(FenceDesign::WsPlus, &groups, 0b0101),
+            None
+        );
         assert!(structural_reject(FenceDesign::WsPlus, &groups, 0b0011).is_some());
         assert_eq!(
             structural_reject(FenceDesign::WsPlus, &[vec![0, 1]], 0b1100),
@@ -284,7 +287,10 @@ mod tests {
             "sites outside every group are unconstrained"
         );
         // SW+: at least one strong per group.
-        assert_eq!(structural_reject(FenceDesign::SwPlus, &groups, 0b0101), None);
+        assert_eq!(
+            structural_reject(FenceDesign::SwPlus, &groups, 0b0101),
+            None
+        );
         assert!(structural_reject(FenceDesign::SwPlus, &groups, 0b0011).is_some());
         // W+ and Wee admit everything.
         assert_eq!(structural_reject(FenceDesign::WPlus, &groups, 0b1111), None);

@@ -104,7 +104,10 @@ fn sccs_match_brute_force_mutual_reachability() {
 #[test]
 fn ws_plus_prunes_exactly_masks_with_two_weak_in_a_group() {
     let gen = pairs(
-        pairs(usizes(1, 6), vecs(pairs(usizes(0, 63), usizes(0, 63)), 0, 18)),
+        pairs(
+            usizes(1, 6),
+            vecs(pairs(usizes(0, 63), usizes(0, 63)), 0, 18),
+        ),
         u64s(0, u64::MAX),
     );
     check(
@@ -146,7 +149,10 @@ fn ws_plus_prunes_exactly_masks_with_two_weak_in_a_group() {
 #[test]
 fn remaining_designs_prune_per_their_definitions() {
     let gen = pairs(
-        pairs(usizes(1, 6), vecs(pairs(usizes(0, 63), usizes(0, 63)), 0, 18)),
+        pairs(
+            usizes(1, 6),
+            vecs(pairs(usizes(0, 63), usizes(0, 63)), 0, 18),
+        ),
         u64s(0, u64::MAX),
     );
     check(
@@ -173,7 +179,9 @@ fn remaining_designs_prune_per_their_definitions() {
             }
             for free in [FenceDesign::WPlus, FenceDesign::Wee] {
                 if structural_reject(free, &groups, mask).is_some() {
-                    return Err(format!("{free:?} must admit every mask, rejected {mask:#b}"));
+                    return Err(format!(
+                        "{free:?} must admit every mask, rejected {mask:#b}"
+                    ));
                 }
             }
             Ok(())
