@@ -139,9 +139,7 @@ pub fn sb_hammer<P: FencePair>(pair: P, rounds: u64) -> KernelRun {
             }
             // Second phase: hold thread 1 until thread 0 judged + reset.
             arrived[me].store(2 * round + 1, Ordering::SeqCst);
-            spin_wait(0, || {
-                arrived[1 - me].load(Ordering::SeqCst) > 2 * round
-            });
+            spin_wait(0, || arrived[1 - me].load(Ordering::SeqCst) > 2 * round);
         }
         violations
     };

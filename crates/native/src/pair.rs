@@ -265,9 +265,15 @@ mod tests {
 
     #[test]
     fn c11_pair_design_mapping_tracks_asymmetry() {
-        let asym = C11Pair { critical: C11Fence::Light, noncritical: C11Fence::Heavy };
+        let asym = C11Pair {
+            critical: C11Fence::Light,
+            noncritical: C11Fence::Heavy,
+        };
         assert_eq!(asym.sim_design(), "WS+");
-        let sym = C11Pair { critical: C11Fence::SeqCst, noncritical: C11Fence::SeqCst };
+        let sym = C11Pair {
+            critical: C11Fence::SeqCst,
+            noncritical: C11Fence::SeqCst,
+        };
         assert_eq!(sym.sim_design(), "S+");
         asym.critical();
         asym.noncritical();
@@ -275,6 +281,8 @@ mod tests {
 
     #[test]
     fn c11_pair_stays_out_of_the_report_grid() {
-        assert!(PairKind::ALL.iter().all(|k| k.name() != C11Pair::default().name()));
+        assert!(PairKind::ALL
+            .iter()
+            .all(|k| k.name() != C11Pair::default().name()));
     }
 }
