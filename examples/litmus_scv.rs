@@ -7,12 +7,7 @@
 use asymfence_suite::prelude::*;
 use asymfence_suite::workloads::litmus;
 
-fn run_case(
-    name: &str,
-    design: FenceDesign,
-    setup: litmus::LitmusSetup,
-    expect_deadlock: bool,
-) {
+fn run_case(name: &str, design: FenceDesign, setup: litmus::LitmusSetup, expect_deadlock: bool) {
     let (progs, _regs) = setup;
     let cfg = MachineConfig::builder()
         .cores(progs.len().max(2))

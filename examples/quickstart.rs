@@ -31,13 +31,19 @@ fn main() {
             Instr::Store { addr: x, value: 1 },
             // The hot thread's fence: weak under WS+/SW+/W+.
             Instr::fence(FenceRole::Critical),
-            Instr::Load { addr: y, tag: Some(1) },
+            Instr::Load {
+                addr: y,
+                tag: Some(1),
+            },
         ]);
         let (b, rb) = ScriptProgram::new(vec![
             Instr::Store { addr: y, value: 1 },
             // The rare thread's fence: strong under WS+/SW+.
             Instr::fence(FenceRole::NonCritical),
-            Instr::Load { addr: x, tag: Some(1) },
+            Instr::Load {
+                addr: x,
+                tag: Some(1),
+            },
         ]);
         machine.add_thread(Box::new(a));
         machine.add_thread(Box::new(b));

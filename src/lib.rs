@@ -37,8 +37,14 @@ pub mod unfenced {
         let script = |instrs| Box::new(ScriptProgram::new(instrs).0) as Box<dyn ThreadProgram>;
         let independent = |mine, other| {
             script(vec![
-                Instr::Store { addr: Addr::new(mine), value: 1 },
-                Instr::Load { addr: Addr::new(other), tag: Some(litmus::OBSERVED) },
+                Instr::Store {
+                    addr: Addr::new(mine),
+                    value: 1,
+                },
+                Instr::Load {
+                    addr: Addr::new(other),
+                    tag: Some(litmus::OBSERVED),
+                },
             ])
         };
         match shape {
@@ -75,9 +81,19 @@ pub mod unfenced {
                 FenceRole::NonCritical
             };
             let spec = placement.spec();
-            m.add_thread(Box::new(FencedProgram::new(p, t, spec, cfg.line_bytes, role)));
+            m.add_thread(Box::new(FencedProgram::new(
+                p,
+                t,
+                spec,
+                cfg.line_bytes,
+                role,
+            )));
         }
-        assert_eq!(m.run(10_000_000), RunOutcome::Finished, "{shape} under {design}");
+        assert_eq!(
+            m.run(10_000_000),
+            RunOutcome::Finished,
+            "{shape} under {design}"
+        );
         !scv::has_violation(m.scv_log().expect("SC log is on"))
     }
 

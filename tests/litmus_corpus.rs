@@ -37,7 +37,11 @@ fn corpus_verdicts_match_design_guarantees() {
                 expect_sc,
                 "{}/{design:?}: expected {} at bound {}, got {}{}",
                 sc.name,
-                if expect_sc { "SC (proof)" } else { "a violation" },
+                if expect_sc {
+                    "SC (proof)"
+                } else {
+                    "a violation"
+                },
                 rep.bound,
                 if rep.clean() { "clean" } else { "a violation" },
                 rep.violation
@@ -64,8 +68,14 @@ fn all_weak_dekker_violates_under_sw_plus() {
     let cex = rep
         .violation
         .expect("all-weak Dekker must violate under SW+ at bound 1");
-    assert!(matches!(cex.failure, Failure::Scv { .. }), "{:?}", cex.failure);
-    let script = cex.schedule.expect("exhaustive counterexamples carry a script");
+    assert!(
+        matches!(cex.failure, Failure::Scv { .. }),
+        "{:?}",
+        cex.failure
+    );
+    let script = cex
+        .schedule
+        .expect("exhaustive counterexamples carry a script");
     assert!(
         script.cost() >= 1,
         "the violation needs at least one delayed choice"

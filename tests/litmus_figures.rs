@@ -28,7 +28,11 @@ fn run(design: FenceDesign, setup: LitmusSetup, max: u64) -> (RunOutcome, Vec<u6
 
 #[test]
 fn fig1b_unfenced_store_buffering_is_an_scv() {
-    let (outcome, vals, scv) = run(FenceDesign::SPlus, litmus::store_buffering(None), 10_000_000);
+    let (outcome, vals, scv) = run(
+        FenceDesign::SPlus,
+        litmus::store_buffering(None),
+        10_000_000,
+    );
     assert_eq!(outcome, RunOutcome::Finished);
     assert_eq!(vals, vec![0, 0], "TSO reorders the unfenced SB pattern");
     assert!(scv, "the checker must report the Shasha-Snir cycle");

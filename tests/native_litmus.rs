@@ -154,7 +154,9 @@ fn analyzer_lowered_pair(
     let runner = asymfence_bench::Runner::with_jobs(2).progress(false);
     let mut synth = asymfence_synth::Synthesizer::new(explorer, runner, asymfence_bench::SEED);
     let r = synth.synthesize_inferred(a.kernel, &a.placement, FenceDesign::WsPlus, None);
-    let best = r.best.expect("inferred placement must be oracle-valid under WS+");
+    let best = r
+        .best
+        .expect("inferred placement must be oracle-valid under WS+");
     let lowering = asymfence_analyze::lower(&a.placement, &r.groups, best.mask);
 
     let fence_of = |thread: usize| {
@@ -182,9 +184,8 @@ fn analyzer_lowered_pair(
 /// `ASF_NATIVE_BACKEND=fallback`).
 #[test]
 fn peterson_analyzer_lowered_c11_mutual_exclusion() {
-    let (pair, asymmetric) = analyzer_lowered_pair(
-        asymfence_workloads::unannot::InferredKernel::Peterson,
-    );
+    let (pair, asymmetric) =
+        analyzer_lowered_pair(asymfence_workloads::unannot::InferredKernel::Peterson);
     assert!(asymmetric, "peterson's WS+ lowering should be light/heavy");
     let r = asymfence_native::peterson(pair, iters());
     assert_eq!(

@@ -92,15 +92,20 @@ fn run_design(
 #[test]
 fn two_threads_fenced_is_sc() {
     use FenceRole::{Critical, NonCritical};
-    check("two_threads_fenced_is_sc", &cfg(), &pairs(gen_thread(8), gen_thread(8)), |(a, b)| {
-        let threads = [a.clone(), b.clone()];
-        run_design(FenceDesign::SPlus, &threads, &[NonCritical, NonCritical])?;
-        run_design(FenceDesign::WsPlus, &threads, &[Critical, NonCritical])?;
-        run_design(FenceDesign::SwPlus, &threads, &[Critical, NonCritical])?;
-        run_design(FenceDesign::WPlus, &threads, &[Critical, Critical])?;
-        run_design(FenceDesign::Wee, &threads, &[Critical, Critical])?;
-        Ok(())
-    });
+    check(
+        "two_threads_fenced_is_sc",
+        &cfg(),
+        &pairs(gen_thread(8), gen_thread(8)),
+        |(a, b)| {
+            let threads = [a.clone(), b.clone()];
+            run_design(FenceDesign::SPlus, &threads, &[NonCritical, NonCritical])?;
+            run_design(FenceDesign::WsPlus, &threads, &[Critical, NonCritical])?;
+            run_design(FenceDesign::SwPlus, &threads, &[Critical, NonCritical])?;
+            run_design(FenceDesign::WPlus, &threads, &[Critical, Critical])?;
+            run_design(FenceDesign::Wee, &threads, &[Critical, Critical])?;
+            Ok(())
+        },
+    );
 }
 
 /// Three threads, any asymmetric grouping for SW+, all-weak for W+/Wee.
@@ -123,7 +128,11 @@ fn three_threads_fenced_is_sc() {
                 &threads,
                 &[Critical, Critical, NonCritical],
             )?;
-            run_design(FenceDesign::WPlus, &threads, &[Critical, Critical, Critical])?;
+            run_design(
+                FenceDesign::WPlus,
+                &threads,
+                &[Critical, Critical, Critical],
+            )?;
             run_design(FenceDesign::Wee, &threads, &[Critical, Critical, Critical])?;
             Ok(())
         },

@@ -111,7 +111,10 @@ fn ustm_throughput_ordering_matches_figure9() {
     let w = commits(FenceDesign::WPlus);
     assert!(ws > 0.95 * s, "WS+ at least matches S+: {ws} vs {s}");
     assert!(w > 0.95 * ws, "W+ at least matches WS+: {w} vs {ws}");
-    assert!(w > 1.02 * s, "W+ beats S+ on a fence-bound load: {w} vs {s}");
+    assert!(
+        w > 1.02 * s,
+        "W+ beats S+ on a fence-bound load: {w} vs {s}"
+    );
 }
 
 #[test]
@@ -124,7 +127,11 @@ fn stamp_apps_run_under_weak_designs() {
         }
         assert_eq!(m.run(2_000_000_000), RunOutcome::Finished, "{design}");
         let (commits, _) = tlrw::tally(&m);
-        assert_eq!(commits, 2 * StampApp::Kmeans.commits_per_thread(), "{design}");
+        assert_eq!(
+            commits,
+            2 * StampApp::Kmeans.commits_per_thread(),
+            "{design}"
+        );
     }
 }
 
@@ -227,9 +234,16 @@ fn inferred_placement_fences_exactly_the_litmus_cycles() {
     for (shape, per_thread) in SHAPES.into_iter().zip(expected) {
         let cfg = MachineConfig::builder().cores(per_thread.len()).build();
         let placement = asymfence_analyze::infer_placement(|_| programs(shape), &cfg);
-        assert_eq!(fences_per_thread(&placement, per_thread.len()), per_thread, "{shape}");
+        assert_eq!(
+            fences_per_thread(&placement, per_thread.len()),
+            per_thread,
+            "{shape}"
+        );
         for design in [FenceDesign::SPlus, FenceDesign::WsPlus] {
-            assert!(keeps_sc(shape, Some(&placement), design), "{shape} fenced, {design}");
+            assert!(
+                keeps_sc(shape, Some(&placement), design),
+                "{shape} fenced, {design}"
+            );
         }
     }
     assert!(
