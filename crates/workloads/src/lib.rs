@@ -15,8 +15,6 @@
 //! * [`dekker`] — Dekker's full mutual-exclusion protocol (Figure 1a).
 //! * [`peterson`] — Peterson's lock with **no** fences: the
 //!   whole-program analyzer's acid test.
-//! * [`spsc`] — Lamport's SPSC ring buffer (fence-free under TSO: the
-//!   negative control, and a coherence streaming stress).
 //! * [`litmus`] — the paper's figure-by-figure SCV/deadlock scenarios.
 //!
 //! Shared infrastructure: [`ops`] (micro-op queues for state-machine
@@ -34,7 +32,6 @@ pub mod litmus;
 pub mod ops;
 pub mod peterson;
 pub mod sites;
-pub mod spsc;
 pub mod stamp;
 pub mod tlrw;
 pub mod unannot;
