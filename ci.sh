@@ -15,10 +15,9 @@ if [ "$QUICK" != "quick" ]; then
   cargo build --release --offline --workspace
 fi
 
-echo "== rustfmt (noc, cpu and machine crates) =="
-# These crates are rustfmt-clean and must stay so. The rest of the
-# workspace is not formatted yet; add each crate here once it is.
-cargo fmt -p asymfence-noc -p asymfence-cpu -p asymfence -- --check
+echo "== rustfmt (whole workspace) =="
+# Every crate and the root suite are rustfmt-clean and must stay so.
+cargo fmt --all -- --check
 
 echo "== clippy (workspace, -D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
