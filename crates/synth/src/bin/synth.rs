@@ -18,57 +18,7 @@
 //! Bound 1 stays interactive and already catches single-reorder bugs;
 //! raise it with `--bound 2 --filter <kernel>` for a targeted proof.
 
-use asymfence_bench::cli;
-use asymfence_bench::metrics::Collector;
-use asymfence_bench::Runner;
-use asymfence_common::telemetry;
-
-fn usage() -> String {
-    format!(
-        "{}\n\
-         \x20 --exhaustive    validate with bounded-exhaustive DPOR exploration\n\
-         \x20                 (accepted assignments become proofs up to the bound)\n\
-         \x20 --bound N       reorder bound for --exhaustive (default: 1; implies it;\n\
-         \x20                 bound 2 costs ~50k runs per candidate on large kernels)",
-        cli::usage("synth")
-    )
-}
-
 fn main() {
-    let mut exhaustive = false;
-    let mut bound: Option<usize> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--exhaustive" => exhaustive = true,
-            "--bound" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => bound = Some(n),
-                None => {
-                    eprintln!("--bound needs a number\n{}", usage());
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(a),
-        }
-    }
-    let (jobs, opts) = match cli::parse_args(rest) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            eprintln!("{msg}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
-    let mut runner = Runner::new(jobs);
-    if opts.metrics.is_some() {
-        runner = runner.with_collector(std::sync::Arc::new(Collector::new(
-            telemetry::deterministic_from_env(),
-        )));
-    }
-    let exhaustive_bound = (exhaustive || bound.is_some()).then(|| bound.unwrap_or(1));
-    asymfence_synth::run_cli_with(&runner, &opts, exhaustive_bound);
+    let (runner, opts, exhaustive) = asymfence_synth::report::parse_cli("synth", "assignments");
+    asymfence_synth::run_cli(&runner, &opts, exhaustive);
 }
