@@ -13,16 +13,15 @@
 //! durable, append a [`ClaimRecord`], then execute the remaining cells
 //! in index order through [`Runner::run_traced`] in small chunks —
 //! journaling a [`CellRecord`](asymfence_common::ledger::CellRecord)
-//! per cell and a [`HeartbeatRecord`] per
-//! chunk, and refreshing sibling progress from their ledgers so the
-//! progress line shows fleet-merged counts. A SIGKILL at *any* byte
+//! per cell and a [`HeartbeatRecord`] per chunk. With progress lines on,
+//! each heartbeat is followed by the `sweep status` fleet footer, read
+//! from every shard's ledger. A SIGKILL at *any* byte
 //! boundary loses at most the un-journaled cells of the current chunk;
 //! the next life re-runs exactly those (runs are deterministic, so a
 //! duplicate record — possible only if the kill lands between execution
 //! and journaling — is byte-identical and deduped at merge).
 
 use std::path::Path;
-use std::sync::Arc;
 
 use asymfence::prelude::FenceRole;
 use asymfence_common::ledger::{
@@ -34,8 +33,9 @@ use asymfence_workloads::cilk::CilkApp;
 use asymfence_workloads::sites::SiteBench;
 use asymfence_workloads::ustm::UstmBench;
 
-use crate::ledger::{cell_record, read_dir_logs};
-use crate::runner::{FleetProgress, LitmusCase, RunSpec, Runner};
+use crate::ledger::cell_record;
+use crate::runner::{progress_from_env, LitmusCase, RunSpec, Runner};
+use crate::status;
 use crate::{DESIGNS, SEED, USTM_WINDOW};
 
 /// Cells completed between heartbeat records (the ledger's progress
@@ -181,23 +181,6 @@ fn cell_delay_from_env() -> Option<u64> {
     std::env::var(CELL_DELAY_ENV).ok()?.parse().ok()
 }
 
-/// Sum of distinct completed cell indices across *other* shards'
-/// ledgers, for fleet-merged progress lines. Best-effort: unreadable
-/// sibling files count as zero rather than failing the run.
-fn remote_done(dir: &Path, me: u64) -> u64 {
-    read_dir_logs(dir)
-        .unwrap_or_default()
-        .iter()
-        .filter(|(id, _)| *id != me)
-        .map(|(_, log)| {
-            let mut idx: Vec<u64> = log.cells.iter().map(|c| c.index).collect();
-            idx.sort_unstable();
-            idx.dedup();
-            idx.len() as u64
-        })
-        .sum()
-}
-
 /// Executes one shard of `cells` against the ledger directory `dir`,
 /// resuming from any durable prefix left by a previous life. See the
 /// module docs for the protocol. The grid passed in must be the full
@@ -260,13 +243,8 @@ pub fn run_shard(
         }),
     )?;
 
-    let fleet = Arc::new(FleetProgress::new(
-        cells.len() as u64,
-        owned.len() as u64,
-        recovered,
-    ));
-    fleet.set_remote_done(remote_done(dir, shard.id));
-    let runner = Runner::new(jobs).with_fleet(Arc::clone(&fleet));
+    let runner = Runner::new(jobs);
+    let progress = progress_from_env();
 
     let delay_ms = cell_delay_from_env();
     let chunk = if delay_ms.is_some() {
@@ -275,8 +253,8 @@ pub fn run_shard(
         HEARTBEAT_CELLS
     };
     let life = Stopwatch::start();
-    // Simulated cycles carried over from prior lives, so heartbeat
-    // throughput reflects the shard's whole ledger.
+    // Heartbeats count the shard's whole ledger, prior lives included;
+    // `status` subtracts the prior lives' share to rate this life alone.
     let mut sim_cycles: u64 = log.cells.iter().map(|c| c.cycles).sum();
     let mut done = recovered;
 
@@ -304,7 +282,13 @@ pub fn run_shard(
                 ts_ms: now_ms(),
             }),
         )?;
-        fleet.set_remote_done(remote_done(dir, shard.id));
+        // Best-effort: an unreadable sibling ledger skips the footer,
+        // never the run.
+        if progress {
+            if let Ok(fleet) = status::gather(dir, now_ms()) {
+                eprint!("{}", status::footer(&fleet));
+            }
+        }
     }
 
     append_record(
