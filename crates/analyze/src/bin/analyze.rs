@@ -16,5 +16,5 @@
 
 fn main() {
     let (runner, opts, exhaustive) = asymfence_synth::report::parse_cli("analyze", "placements");
-    asymfence_analyze::run_cli(&runner, &opts, exhaustive);
+    asymfence_synth::run_cli(&runner, &opts, exhaustive, asymfence_analyze::report::run);
 }

@@ -38,4 +38,3 @@ pub mod report;
 pub use cycles::{critical_cycles, digraph, extract_windows, merge_windows, WindowInfo};
 pub use lower::{lower, C11Lower, LoweredFence, Lowering};
 pub use place::{analyze, analyze_with, infer_placement, Analysis};
-pub use report::run_cli;

@@ -12,23 +12,21 @@
 //! `placement <kernel>: oracle-valid` line per fully-validated kernel
 //! gives `ci.sh` a stable grep target.
 
-use asymfence::prelude::{FenceDesign, RunOutcome, TraceSink};
+use asymfence::prelude::{FenceDesign, RunOutcome};
 use asymfence_bench::cli::Opts;
 use asymfence_bench::{ReportSink, RunSpec, Runner, Table};
 use asymfence_common::assign::SearchStats;
+use asymfence_common::par::Shard;
 use asymfence_common::placement::Placement;
-use asymfence_synth::report::{stats_line, synthesizer, SYNTH_DESIGNS};
-use asymfence_synth::search::mask_label;
+use asymfence_synth::report::{result_cells, Search};
 use asymfence_workloads::unannot::InferredKernel;
 
 use crate::lower;
 use crate::place::{self, Analysis};
 
-/// Renders an inferred-site weak mask as placement labels (`wf{t0@0x40}`
-/// style), or `all-sf` for the empty mask.
-pub fn placed_mask_label(placement: &Placement, mask: u64) -> String {
-    let labels: Vec<&str> = placement.fences.iter().map(|f| f.label.as_str()).collect();
-    mask_label(&labels, mask)
+/// A placement's site labels (`t0@0x40` style), in site order.
+fn labels(placement: &Placement) -> Vec<&str> {
+    placement.fences.iter().map(|f| f.label.as_str()).collect()
 }
 
 /// Runs the full inference report into `sink`. With `exhaustive`
@@ -42,10 +40,6 @@ pub fn run(
     sink: &mut ReportSink,
 ) -> SearchStats {
     runner.begin_section("analyze");
-    let designs: Vec<FenceDesign> = match &opts.designs {
-        None => SYNTH_DESIGNS.to_vec(),
-        Some(ds) => ds.clone(),
-    };
     // The shard partitions the kernel grid across fleet processes,
     // round-robin by position in the (already `--filter`ed) list. The
     // synthesizer below stays whole: each owned kernel's mask space is
@@ -58,11 +52,7 @@ pub fn run(
         .map(|(_, k)| k)
         .collect();
 
-    let mut synth = synthesizer(runner, opts, exhaustive);
-    let mut trace = opts
-        .trace
-        .as_ref()
-        .map(|_| TraceSink::new(FenceDesign::SPlus));
+    let mut search = Search::new(runner, opts, exhaustive, Shard::whole());
 
     sink.line("## Whole-program fence inference (zero annotations)");
     sink.line(
@@ -76,7 +66,7 @@ pub fn run(
         )),
         None => sink.line(format!(
             "(oracle: Shasha-Snir over {} perturbation seeds)",
-            synth.explorer.cfg.seeds
+            search.synth.explorer.cfg.seeds
         )),
     }
     sink.blank();
@@ -106,12 +96,7 @@ pub fn run(
             a.cycles.to_string(),
             a.dropped_dead.to_string(),
             a.placement.len().to_string(),
-            a.placement
-                .fences
-                .iter()
-                .map(|f| f.label.as_str())
-                .collect::<Vec<_>>()
-                .join(" "),
+            labels(&a.placement).join(" "),
         ]);
     }
     sink.table("analyze_placements", &placements);
@@ -133,9 +118,15 @@ pub fn run(
     let mut lowerings: Vec<(InferredKernel, lower::Lowering, FenceDesign, u64)> = Vec::new();
 
     for a in &analyses {
+        let labels = labels(&a.placement);
         let mut all_valid = true;
-        for &design in &designs {
-            let r = synth.synthesize_inferred(a.kernel, &a.placement, design, trace.as_mut());
+        for &design in &search.designs {
+            let r = search.synth.synthesize_inferred(
+                a.kernel,
+                &a.placement,
+                design,
+                search.trace.as_mut(),
+            );
             stats.merge(&r.stats);
             if let Some(c) = runner.collector() {
                 c.record_analysis(
@@ -151,40 +142,17 @@ pub fn run(
                 let pr = runner.run(&[RunSpec::sites(b, design, asymfence_bench::SEED)]);
                 (pr[0].outcome == RunOutcome::Finished).then_some(pr[0].cycles)
             });
-            let groups_cell = r
-                .groups
-                .iter()
-                .map(|g| {
-                    let names: Vec<&str> = g
-                        .iter()
-                        .map(|&i| a.placement.fences[i].label.as_str())
-                        .collect();
-                    format!("{{{}}}", names.join(" "))
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
+            let [sites, groups, best_label, best_cycles, paper_cycles, delta] =
+                result_cells(&r, &labels, paper_cycles);
             table.row(vec![
                 a.kernel.name().to_string(),
                 design.label().to_string(),
-                r.n_sites.to_string(),
-                if groups_cell.is_empty() {
-                    "-".into()
-                } else {
-                    groups_cell
-                },
-                r.best
-                    .map(|b| placed_mask_label(&a.placement, b.mask))
-                    .unwrap_or_else(|| "-".into()),
-                r.best
-                    .map(|b| b.cycles.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                paper_cycles
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                match (paper_cycles, r.best) {
-                    (Some(p), Some(b)) => format!("{:+}", b.cycles as i64 - p as i64),
-                    _ => "-".into(),
-                },
+                sites,
+                groups,
+                best_label,
+                best_cycles,
+                paper_cycles,
+                delta,
             ]);
             match r.best {
                 Some(best) => {
@@ -204,7 +172,8 @@ pub fn run(
             valid_lines.push(format!(
                 "placement {}: oracle-valid under {}",
                 a.kernel.name(),
-                designs
+                search
+                    .designs
                     .iter()
                     .map(|d| d.label())
                     .collect::<Vec<_>>()
@@ -240,32 +209,14 @@ pub fn run(
     }
     sink.table("analyze_lowering", &c11);
 
-    sink.line(stats_line(&stats));
-
-    if let (Some(path), Some(sink)) = (opts.trace.as_deref(), trace) {
-        std::fs::write(path, sink.chrome_json())
-            .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
-        eprintln!(
-            "== inference trace -> {path} ({} decisions) ==",
-            sink.recorded()
-        );
-    }
+    search.finish(opts, &stats, sink, "inference");
     stats
-}
-
-/// The `analyze` binary's entry point: run the report to stdout +
-/// `results/` and write `--metrics` telemetry if asked. `exhaustive`
-/// carries the `--bound` reorder bound when exhaustive validation was
-/// asked for.
-pub fn run_cli(runner: &Runner, opts: &Opts, exhaustive: Option<usize>) {
-    let mut sink = ReportSink::stdout();
-    run(runner, opts, exhaustive, &mut sink);
-    asymfence_bench::metrics::write_if_requested(runner, opts);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asymfence_synth::search::mask_label;
 
     fn quick_opts(filter: &str) -> Opts {
         Opts {
@@ -316,8 +267,9 @@ mod tests {
     #[test]
     fn mask_labels_render_placement_labels() {
         let a = place::analyze(InferredKernel::Sb, asymfence_bench::SEED);
-        assert_eq!(placed_mask_label(&a.placement, 0), "all-sf");
-        let l = placed_mask_label(&a.placement, 0b01);
+        let labels = labels(&a.placement);
+        assert_eq!(mask_label(&labels, 0), "all-sf");
+        let l = mask_label(&labels, 0b01);
         assert!(l.starts_with("wf{t0@0x"), "{l}");
     }
 }

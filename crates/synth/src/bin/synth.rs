@@ -20,5 +20,5 @@
 
 fn main() {
     let (runner, opts, exhaustive) = asymfence_synth::report::parse_cli("synth", "assignments");
-    asymfence_synth::run_cli(&runner, &opts, exhaustive);
+    asymfence_synth::run_cli(&runner, &opts, exhaustive, asymfence_synth::report::run);
 }

@@ -12,10 +12,11 @@ use asymfence::prelude::{FenceDesign, MachineConfig, TraceSink};
 use asymfence_bench::cli::{self, Opts};
 use asymfence_bench::{ReportSink, Runner, Table};
 use asymfence_common::assign::SearchStats;
+use asymfence_common::par::Shard;
 use asymfence_explore::{ExploreConfig, Explorer};
 use asymfence_workloads::sites::SiteBench;
 
-use crate::search::{mask_label, Synthesizer};
+use crate::search::{mask_label, SynthResult, Synthesizer};
 
 /// Designs the synthesis report covers by default: the paper's four
 /// safe asymmetric-capable points plus the S+ baseline. (`Wee` behaves
@@ -36,6 +37,98 @@ pub fn seed_budget(quick: bool) -> u64 {
     }
 }
 
+/// What both search reports (`synth`, `analyze`) are built on: the
+/// designs to search, the synthesizer, and the decision trace.
+pub struct Search {
+    /// `--designs`, else [`SYNTH_DESIGNS`].
+    pub designs: Vec<FenceDesign>,
+    /// The synthesizer: the oracle's seed budget for `--quick`, the
+    /// runner as the scorer, the harness seed, and the DPOR oracle when
+    /// exhaustive validation carries a reorder bound.
+    pub synth: Synthesizer,
+    /// The decision timeline, recorded when `--trace` asks for it.
+    pub trace: Option<TraceSink>,
+}
+
+impl Search {
+    /// Sets a report up; `masks` is the part of each mask space this
+    /// process searches.
+    pub fn new(runner: &Runner, opts: &Opts, exhaustive: Option<usize>, masks: Shard) -> Self {
+        let explorer = Explorer::new(ExploreConfig {
+            seeds: seed_budget(opts.quick),
+            ..Default::default()
+        });
+        let synth =
+            Synthesizer::new(explorer, runner.clone(), asymfence_bench::SEED).with_shard(masks);
+        Search {
+            designs: opts
+                .designs
+                .clone()
+                .unwrap_or_else(|| SYNTH_DESIGNS.to_vec()),
+            synth: match exhaustive {
+                Some(bound) => synth.with_exhaustive(bound),
+                None => synth,
+            },
+            trace: opts
+                .trace
+                .as_ref()
+                .map(|_| TraceSink::new(FenceDesign::SPlus)),
+        }
+    }
+
+    /// Closes a report: the `search: …` accounting line, then the
+    /// decision trace written to `--trace`, announced on stderr as
+    /// `what`'s trace.
+    pub fn finish(self, opts: &Opts, stats: &SearchStats, sink: &mut ReportSink, what: &str) {
+        sink.line(format!(
+            "search: {} enumerated, {} pruned structurally, {} oracle-rejected, {} valid, \
+             {} memo hits, {} simulator runs",
+            stats.enumerated,
+            stats.pruned,
+            stats.oracle_rejected,
+            stats.valid,
+            stats.memo_hits,
+            stats.runs
+        ));
+        if let (Some(path), Some(trace)) = (opts.trace.as_deref(), self.trace) {
+            std::fs::write(path, trace.chrome_json())
+                .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
+            eprintln!(
+                "== {what} trace -> {path} ({} decisions) ==",
+                trace.recorded()
+            );
+        }
+    }
+}
+
+/// The result cells both reports show, given the site labels and the
+/// paper's cycles: sites, groups (`{a b}` per group), the best
+/// assignment, its cycles, the paper's cycles, and the best's delta to
+/// them. `-` stands for what is missing.
+pub fn result_cells(r: &SynthResult, labels: &[&str], paper_cycles: Option<u64>) -> [String; 6] {
+    let groups = r
+        .groups
+        .iter()
+        .map(|g| {
+            let names: Vec<&str> = g.iter().map(|&i| labels[i]).collect();
+            format!("{{{}}}", names.join(" "))
+        })
+        .collect::<Vec<_>>()
+        .join(" ");
+    let dash = || "-".to_string();
+    [
+        r.n_sites.to_string(),
+        if groups.is_empty() { dash() } else { groups },
+        r.best.map_or_else(dash, |b| mask_label(labels, b.mask)),
+        r.best.map_or_else(dash, |b| b.cycles.to_string()),
+        paper_cycles.map_or_else(dash, |c| c.to_string()),
+        match (paper_cycles, r.best) {
+            (Some(p), Some(b)) => format!("{:+}", b.cycles as i64 - p as i64),
+            _ => dash(),
+        },
+    ]
+}
+
 /// Runs the full synthesis report into `sink`. With `exhaustive`
 /// carrying a reorder bound, survivors are validated by the DPOR walk
 /// instead of the perturbation sweep and every accepted assignment is a
@@ -48,10 +141,6 @@ pub fn run(
     sink: &mut ReportSink,
 ) -> SearchStats {
     runner.begin_section("synth");
-    let designs: Vec<FenceDesign> = match &opts.designs {
-        None => SYNTH_DESIGNS.to_vec(),
-        Some(ds) => ds.clone(),
-    };
     let benches: Vec<SiteBench> = SiteBench::ALL
         .into_iter()
         .filter(|b| opts.keep(b.name()))
@@ -60,11 +149,7 @@ pub fn run(
     // The shard partitions the *mask* space across fleet processes; the
     // oracle explorer inside stays whole so each owned mask is still
     // validated over every seed.
-    let mut synth = synthesizer(runner, opts, exhaustive).with_shard(opts.shard);
-    let mut trace = opts
-        .trace
-        .as_ref()
-        .map(|_| TraceSink::new(FenceDesign::SPlus));
+    let mut search = Search::new(runner, opts, exhaustive, opts.shard);
 
     sink.line("## Synthesized fence assignments vs paper annotations");
     match exhaustive {
@@ -75,7 +160,7 @@ pub fn run(
         )),
         None => sink.line(format!(
             "(oracle: Shasha-Snir over {} perturbation seeds; scoring: simulated cycles at the natural schedule)",
-            synth.explorer.cfg.seeds
+            search.synth.explorer.cfg.seeds
         )),
     }
     sink.blank();
@@ -100,54 +185,15 @@ pub fn run(
         let cfg = MachineConfig::builder().cores(bench.cores()).build();
         let sites = bench.sites(&cfg);
         let labels: Vec<&str> = sites.iter().map(|s| s.label).collect();
-        for &design in &designs {
-            let r = synth.synthesize(bench, design, trace.as_mut());
+        for &design in &search.designs {
+            let r = search
+                .synth
+                .synthesize(bench, design, search.trace.as_mut());
             let paper = r.paper.expect("hand benches carry a paper verdict");
             stats.merge(&r.stats);
-            let groups_cell = r
-                .groups
-                .iter()
-                .map(|g| {
-                    let names: Vec<&str> = g.iter().map(|&i| labels[i]).collect();
-                    format!("{{{}}}", names.join(" "))
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            let best_label = r
-                .best
-                .map(|b| mask_label(&labels, b.mask))
-                .unwrap_or_else(|| "-".into());
-            let best_cycles = r
-                .best
-                .map(|b| b.cycles.to_string())
-                .unwrap_or_else(|| "-".into());
-            let delta = match (paper.cycles, r.best) {
-                (Some(p), Some(b)) => format!("{:+}", b.cycles as i64 - p as i64),
-                _ => "-".into(),
-            };
-            table.row(vec![
-                bench.name().to_string(),
-                design.label().to_string(),
-                r.n_sites.to_string(),
-                if groups_cell.is_empty() {
-                    "-".into()
-                } else {
-                    groups_cell
-                },
-                mask_label(&labels, paper.mask),
-                if paper.valid {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-                paper
-                    .cycles
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "-".into()),
-                best_label.clone(),
-                best_cycles,
-                delta,
-            ]);
+            let [sites, groups, best_label, best_cycles, paper_cycles, delta] =
+                result_cells(&r, &labels, paper.cycles);
+            let paper_label = mask_label(&labels, paper.mask);
             if let (Some(p), Some(b)) = (paper.cycles, r.best) {
                 if b.cycles < p {
                     faster.push(format!(
@@ -166,9 +212,25 @@ pub fn run(
                     "{}/{}: paper annotation {} fails the oracle",
                     bench.name(),
                     design.label(),
-                    mask_label(&labels, paper.mask)
+                    paper_label
                 ));
             }
+            table.row(vec![
+                bench.name().to_string(),
+                design.label().to_string(),
+                sites,
+                groups,
+                paper_label,
+                if paper.valid {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
+                paper_cycles,
+                best_label,
+                best_cycles,
+                delta,
+            ]);
         }
     }
 
@@ -187,46 +249,8 @@ pub fn run(
         }
         sink.blank();
     }
-    sink.line(stats_line(&stats));
-
-    if let (Some(path), Some(sink)) = (opts.trace.as_deref(), trace) {
-        std::fs::write(path, sink.chrome_json())
-            .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
-        eprintln!(
-            "== synthesis trace -> {path} ({} decisions) ==",
-            sink.recorded()
-        );
-    }
+    search.finish(opts, &stats, sink, "synthesis");
     stats
-}
-
-/// The synthesizer both search reports use: the oracle's seed budget
-/// for `opts.quick`, `runner` as the scorer, the harness seed, and the
-/// DPOR oracle when `exhaustive` carries a reorder bound.
-pub fn synthesizer(runner: &Runner, opts: &Opts, exhaustive: Option<usize>) -> Synthesizer {
-    let explorer = Explorer::new(ExploreConfig {
-        seeds: seed_budget(opts.quick),
-        ..Default::default()
-    });
-    let synth = Synthesizer::new(explorer, runner.clone(), asymfence_bench::SEED);
-    match exhaustive {
-        Some(bound) => synth.with_exhaustive(bound),
-        None => synth,
-    }
-}
-
-/// The closing `search: …` accounting line of both search reports.
-pub fn stats_line(stats: &SearchStats) -> String {
-    format!(
-        "search: {} enumerated, {} pruned structurally, {} oracle-rejected, {} valid, \
-         {} memo hits, {} simulator runs",
-        stats.enumerated,
-        stats.pruned,
-        stats.oracle_rejected,
-        stats.valid,
-        stats.memo_hits,
-        stats.runs
-    )
 }
 
 /// Parses a search binary's command line (`synth`, `analyze`): the
@@ -267,14 +291,19 @@ pub fn parse_cli(bin: &str, accepted: &str) -> (Runner, Opts, Option<usize>) {
     )
 }
 
-/// The `synth` binary's entry point: run the report to stdout +
-/// `results/`, and write the `--metrics` telemetry snapshot if one was
-/// requested (the scoring batches all flow through the runner, so the
-/// collector sees every charged simulator run). `exhaustive` carries the
-/// `--bound` reorder bound when exhaustive validation was asked for.
-pub fn run_cli(runner: &Runner, opts: &Opts, exhaustive: Option<usize>) {
-    let mut sink = ReportSink::stdout();
-    run(runner, opts, exhaustive, &mut sink);
+/// A search binary's entry point (`synth`, `analyze`): run `report` to
+/// stdout + `results/`, and write the `--metrics` telemetry snapshot if
+/// one was requested (the scoring batches all flow through the runner,
+/// so the collector sees every charged simulator run). `exhaustive`
+/// carries the `--bound` reorder bound when exhaustive validation was
+/// asked for.
+pub fn run_cli(
+    runner: &Runner,
+    opts: &Opts,
+    exhaustive: Option<usize>,
+    report: fn(&Runner, &Opts, Option<usize>, &mut ReportSink) -> SearchStats,
+) {
+    report(runner, opts, exhaustive, &mut ReportSink::stdout());
     asymfence_bench::metrics::write_if_requested(runner, opts);
 }
 
