@@ -448,6 +448,9 @@ pub struct ShardLog {
     /// Completed cells (possibly with duplicate indices after a resume
     /// that re-ran an un-journaled cell; mergers keep the first).
     pub cells: Vec<CellRecord>,
+    /// How many of `cells` precede the latest claim: the prior lives'
+    /// share, which the current life's heartbeats count but do not time.
+    pub cells_before_claim: usize,
     /// Completion markers.
     pub done: Vec<DoneRecord>,
     /// Lines skipped because their version/kind is unknown.
@@ -496,7 +499,10 @@ pub fn read_shard_log(path: &Path) -> Result<ShardLog, String> {
         match parsed {
             Ok(Some(rec)) => {
                 match rec {
-                    Record::Claim(c) => log.claims.push(c),
+                    Record::Claim(c) => {
+                        log.cells_before_claim = log.cells.len();
+                        log.claims.push(c);
+                    }
                     Record::Heartbeat(h) => log.heartbeats.push(h),
                     Record::Cell(c) => log.cells.push(*c),
                     Record::Done(d) => log.done.push(d),
