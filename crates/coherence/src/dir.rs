@@ -213,20 +213,6 @@ impl DirBank {
         self.busy.is_empty() && self.waiting.is_empty()
     }
 
-    /// Debug description of in-flight transactions.
-    pub fn debug_busy(&self) -> Vec<String> {
-        self.busy
-            .iter()
-            .map(|(l, t)| {
-                format!(
-                    "{l}: {t:?} sharers={:b} owner={:?}",
-                    self.sharers_of(*l),
-                    self.owner_of(*l)
-                )
-            })
-            .collect()
-    }
-
     /// Reads one word straight from the memory image (testing/back door).
     pub fn backdoor_read(&self, line: LineAddr, word: usize) -> u64 {
         self.image.get(&line).map_or(0, |d| d[word])

@@ -11,8 +11,7 @@
 //! simulator's nondeterminism points ([`schedule`]), a hermetic
 //! property-testing harness
 //! ([`prop`]), scoped worker-pool parallelism for deterministic sweeps
-//! ([`par`]), the sharded-sweep run-ledger record layer ([`ledger`])
-//! and small utility containers ([`queue`]).
+//! ([`par`]) and the sharded-sweep run-ledger record layer ([`ledger`]).
 //!
 //! # Examples
 //!
@@ -37,7 +36,6 @@ pub mod ledger;
 pub mod par;
 pub mod placement;
 pub mod prop;
-pub mod queue;
 pub mod rng;
 pub mod schedule;
 pub mod scvlog;

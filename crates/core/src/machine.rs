@@ -426,11 +426,6 @@ impl Machine {
         self.cores[core.0].program()
     }
 
-    /// Debug dump of the memory system's outstanding state.
-    pub fn debug_memory(&self) -> String {
-        self.mem.debug_dump()
-    }
-
     /// Merges all statistics into the paper's reporting format. Per-core
     /// and traffic counters are plain `Copy` data, so the harvest is a
     /// flat copy — no per-counter clones.
