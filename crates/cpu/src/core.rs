@@ -111,8 +111,6 @@ struct ActiveFence {
     armed: bool,
     /// Wee: remote Pending Sets to watch.
     remote_ps: Vec<LineAddr>,
-    /// Wee: bank holding this fence's GRT state.
-    grt_bank: Option<usize>,
 }
 
 struct Checkpoint {
@@ -575,8 +573,8 @@ impl Core {
             self.id,
             TraceKind::FenceComplete { serial: f.serial }
         );
-        if let Some(bank) = f.grt_bank {
-            mem.wee_unregister(now, self.id, bank, f.serial);
+        if f.kind == HwFence::WeeWeak {
+            mem.wee_unregister(now, self.id, f.serial);
         }
         if f.kind == HwFence::Weak
             && matches!(self.design, FenceDesign::WsPlus | FenceDesign::SwPlus)
@@ -822,7 +820,7 @@ impl Core {
             }
             HwFence::Weak => {
                 self.stats.wf_count += 1;
-                self.activate_weak_fence(now, mem, serial, None);
+                self.activate_weak_fence(now, mem, serial, false);
                 FenceStep::Retire
             }
             HwFence::WeeWeak => {
@@ -831,10 +829,8 @@ impl Core {
                 let mut ps: Vec<LineAddr> = self.wb.iter().map(|w| self.line_of(w.addr)).collect();
                 ps.sort_unstable();
                 ps.dedup();
-                let mut banks: Vec<usize> = ps.iter().map(|l| mem.home_bank(*l)).collect();
-                banks.sort_unstable();
-                banks.dedup();
-                if banks.len() > 1 {
+                let home = ps.first().map(|l| mem.home_bank(*l));
+                if ps.iter().any(|l| Some(mem.home_bank(*l)) != home) {
                     // Paper §2.3: state spans several directory modules —
                     // the fence turns into a conventional one.
                     return FenceStep::Demote;
@@ -851,23 +847,16 @@ impl Core {
                     );
                     return FenceStep::Retire;
                 }
-                let bank = banks[0];
-                mem.wee_register(now, self.id, bank, serial, ps);
-                self.activate_weak_fence(now, mem, serial, Some(bank));
+                mem.wee_register(now, self.id, serial, ps);
+                self.activate_weak_fence(now, mem, serial, true);
                 FenceStep::Retire
             }
         }
     }
 
-    fn activate_weak_fence(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemSystem,
-        serial: u64,
-        grt_bank: Option<usize>,
-    ) {
+    fn activate_weak_fence(&mut self, now: Cycle, mem: &mut MemSystem, serial: u64, wee: bool) {
         let watermark = self.next_store_serial - 1;
-        if self.completed_store_serial >= watermark && grt_bank.is_none() {
+        if self.completed_store_serial >= watermark && !wee {
             // No pending pre-fence stores: already complete.
             self.completed_fence_serial = serial;
             trace_event!(
@@ -891,15 +880,10 @@ impl Core {
         }
         self.active_fences.push(ActiveFence {
             serial,
-            kind: if grt_bank.is_some() {
-                HwFence::WeeWeak
-            } else {
-                HwFence::Weak
-            },
+            kind: if wee { HwFence::WeeWeak } else { HwFence::Weak },
             watermark,
-            armed: grt_bank.is_none(),
+            armed: !wee,
             remote_ps: Vec::new(),
-            grt_bank,
         });
     }
 
