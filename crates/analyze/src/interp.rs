@@ -24,6 +24,7 @@
 //! spin time.
 
 use asymfence::prelude::{Fetch, Instr, ThreadProgram};
+use asymfence_common::rng::hash64;
 
 /// One shared-memory access in a thread's program-order trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,18 +67,10 @@ pub const STEP_CAP: u64 = 2_000_000;
 /// `--quick`) so the recovered footprint never depends on run mode.
 pub const VARIANTS: u64 = 8;
 
-/// SplitMix64 — the repo's stock parameterless mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Runs one set of fresh thread programs to completion under SC with the
 /// given schedule variant. Variant 0 alternates threads every step; the
 /// others rotate the start thread and draw per-turn quantum lengths from
-/// the mixer, so spin phases and race winners differ across variants.
+/// [`hash64`], so spin phases and race winners differ across variants.
 pub fn run_programs(
     mut programs: Vec<Box<dyn ThreadProgram>>,
     variant: u64,
@@ -96,7 +89,7 @@ pub fn run_programs(
         let quantum = if variant == 0 {
             1
         } else {
-            1 + (mix(variant ^ turn.wrapping_mul(0x5851_F42D)) % 7)
+            1 + (hash64(variant ^ turn.wrapping_mul(0x5851_F42D)) % 7)
         };
         turn += 1;
 

@@ -66,10 +66,11 @@ pub const USTM_WINDOW: u64 = 1_500_000;
 /// Hard ceiling for finite runs.
 pub const MAX_CYCLES: u64 = 4_000_000_000;
 
-/// Scale factor for quick runs (`ASF_QUICK=1` in the environment or
-/// `--quick` on the command line shrinks workloads ~4x).
+/// Whether the environment asks for quick runs (`ASF_QUICK` set to
+/// anything but `0`); the binaries' `--quick` flag sets the same
+/// option on top.
 pub fn quick() -> bool {
-    std::env::var("ASF_QUICK").is_ok_and(|v| v != "0") || std::env::args().any(|a| a == "--quick")
+    std::env::var("ASF_QUICK").is_ok_and(|v| v != "0")
 }
 
 /// One run's outcome: cycle count plus merged statistics.

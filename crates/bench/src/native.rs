@@ -333,7 +333,7 @@ pub struct NativeOpts {
 /// unknown flag).
 pub fn parse_native_args() -> NativeOpts {
     let mut opts = NativeOpts {
-        quick: std::env::var("ASF_QUICK").is_ok_and(|v| v != "0"),
+        quick: crate::quick(),
         ..Default::default()
     };
     let mut args = std::env::args().skip(1);
