@@ -86,11 +86,17 @@ if [ "$QUICK" != "quick" ]; then
   ASF_PROGRESS=0 ASF_TELEMETRY_DETERMINISTIC=1 \
     target/release/sweep run --ledger "$SWEEP/single" --quick --jobs 2 \
       --metrics "$SWEEP/single-metrics.json"
-  for id in 0 1 2; do
+  for id in 0 1; do
     ASF_PROGRESS=0 ASF_TELEMETRY_DETERMINISTIC=1 \
       target/release/sweep run --ledger "$SWEEP/sharded" \
         --shards 3 --shard-id $id --quick --jobs 2
   done
+  # The last shard runs with progress lines on: after each heartbeat it
+  # prints the `sweep status` fleet footer, read from every ledger.
+  ASF_PROGRESS=1 ASF_TELEMETRY_DETERMINISTIC=1 \
+    target/release/sweep run --ledger "$SWEEP/sharded" \
+      --shards 3 --shard-id 2 --quick --jobs 2 2> "$SWEEP/progress.txt"
+  grep -q "^fleet: " "$SWEEP/progress.txt"
   target/release/sweep status --ledger "$SWEEP/sharded" > "$SWEEP/status.txt"
   grep -q "fleet: 56/56 cells (100%)" "$SWEEP/status.txt"
   mkdir -p "$SWEEP/merged"
