@@ -11,12 +11,12 @@
 //! WS+ scenario) or let every thread run fast (`AllCritical` — the W+
 //! scenario).
 
-use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// Which threads get the fast (weak) fence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -123,6 +123,25 @@ impl BakeryThread {
         }
     }
 
+    /// Starts waiting on thread `j` (skipping self), or enters the
+    /// critical section when all threads have been checked.
+    fn wait_from(&mut self, mut j: usize) -> BkState {
+        if j == self.tid {
+            j += 1;
+        }
+        if j >= self.threads {
+            return BkState::EnterCs;
+        }
+        let tag = self.ops.load(self.layout.entering[j]);
+        BkState::WaitEntering { j, tag }
+    }
+}
+
+impl Steps for BakeryThread {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
+
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, BkState::Finished) {
             BkState::Start => {
@@ -207,58 +226,6 @@ impl BakeryThread {
             BkState::Finished => false,
         }
     }
-
-    /// Starts waiting on thread `j` (skipping self), or enters the
-    /// critical section when all threads have been checked.
-    fn wait_from(&mut self, mut j: usize) -> BkState {
-        if j == self.tid {
-            j += 1;
-        }
-        if j >= self.threads {
-            return BkState::EnterCs;
-        }
-        let tag = self.ops.load(self.layout.entering[j]);
-        BkState::WaitEntering { j, tag }
-    }
-}
-
-impl std::fmt::Debug for BakeryThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BakeryThread")
-            .field("tid", &self.tid)
-            .field("entries", &self.entries)
-            .field("violations", &self.mutex_violations)
-            .finish()
-    }
-}
-
-impl ThreadProgram for BakeryThread {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "bakery"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// The doorway fence site of thread `tid` (between `E[i] := 1` and the
@@ -287,7 +254,7 @@ pub fn programs(
     let mut root = SimRng::new(seed ^ 0x00BA_4E41);
     (0..threads)
         .map(|tid| {
-            Box::new(BakeryThread::new(
+            program(BakeryThread::new(
                 tid,
                 threads,
                 layout.clone(),
@@ -295,7 +262,7 @@ pub fn programs(
                 iterations,
                 60,
                 root.fork(tid as u64),
-            )) as Box<dyn ThreadProgram>
+            ))
         })
         .collect()
 }

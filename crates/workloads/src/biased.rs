@@ -10,12 +10,12 @@
 //! The owner's fence is `Critical` (weak under WS+/SW+), the revoker's is
 //! `NonCritical` — the asymmetric fence group the paper's §4.4 points at.
 
-use asymfence::prelude::{Addr, FenceRole, Fetch, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, RmwKind, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// Shared words of one biased lock.
 #[derive(Clone, Debug)]
@@ -99,6 +99,12 @@ impl BiasedThread {
             entries: 0,
             mutex_violations: 0,
         }
+    }
+}
+
+impl Steps for BiasedThread {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
     }
 
     fn step(&mut self) -> bool {
@@ -201,45 +207,6 @@ impl BiasedThread {
     }
 }
 
-impl std::fmt::Debug for BiasedThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BiasedThread")
-            .field("tid", &self.tid)
-            .field("owner", &self.is_owner)
-            .field("entries", &self.entries)
-            .finish()
-    }
-}
-
-impl ThreadProgram for BiasedThread {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "biased-lock"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Builds a biased-lock workload: thread 0 owns the bias and enters the
 /// critical section `owner_iters` times with short gaps; the other threads
 /// contend `contender_iters` times with long gaps.
@@ -255,7 +222,7 @@ pub fn programs(
     (0..cfg.num_cores)
         .map(|tid| {
             let is_owner = tid == 0;
-            Box::new(BiasedThread::new(
+            program(BiasedThread::new(
                 tid,
                 is_owner,
                 layout.clone(),
@@ -267,7 +234,7 @@ pub fn programs(
                 60,
                 if is_owner { (40, 120) } else { (1200, 3600) },
                 root.fork(tid as u64),
-            )) as Box<dyn ThreadProgram>
+            ))
         })
         .collect()
 }

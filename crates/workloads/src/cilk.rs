@@ -14,11 +14,11 @@
 //! on the order of the paper's measured 200 cycles while a weak fence
 //! hides the drain. See DESIGN.md for the substitution rationale.
 
-use asymfence::prelude::{Addr, Fetch, ThreadProgram};
+use asymfence::prelude::{Addr, ThreadProgram};
 use asymfence_common::rng::{hash64, SimRng};
 
 use crate::layout::{AddressAllocator, Scratch};
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 use crate::wsq::{push, DequeLayout, Steal, StealOutcome, Take, TakeOutcome};
 
 /// The ten applications of the paper's CilkApps group, as spawn-tree +
@@ -308,6 +308,21 @@ impl CilkWorker {
         self.ops.store(counter, self.executed);
     }
 
+    fn start_steal(&mut self) -> Steal {
+        let n = self.layout.deques.len() as u64;
+        let mut victim = self.rng.below(n) as usize;
+        if victim == self.tid {
+            victim = (victim + 1) % n as usize;
+        }
+        Steal::start(&self.layout.deques[victim], &mut self.ops)
+    }
+}
+
+impl Steps for CilkWorker {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
+
     /// Advances the workload state machine. Returns `false` when done.
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, WState::Finished) {
@@ -390,54 +405,6 @@ impl CilkWorker {
             WState::Finished => false,
         }
     }
-
-    fn start_steal(&mut self) -> Steal {
-        let n = self.layout.deques.len() as u64;
-        let mut victim = self.rng.below(n) as usize;
-        if victim == self.tid {
-            victim = (victim + 1) % n as usize;
-        }
-        Steal::start(&self.layout.deques[victim], &mut self.ops)
-    }
-}
-
-impl std::fmt::Debug for CilkWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CilkWorker")
-            .field("tid", &self.tid)
-            .field("app", &self.profile.app.name())
-            .field("executed", &self.executed)
-            .finish()
-    }
-}
-
-impl ThreadProgram for CilkWorker {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        self.profile.app.name()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Installs one Cilk application on a machine: allocates the layout,
@@ -482,14 +449,14 @@ fn build(
     let progs = (0..workers)
         .map(|tid| {
             let rng = root_rng.fork(tid as u64);
-            Box::new(CilkWorker::new(
+            program(CilkWorker::new(
                 tid,
                 profile,
                 layout.clone(),
                 workers,
                 cfg.line_bytes,
                 rng,
-            )) as Box<dyn ThreadProgram>
+            ))
         })
         .collect();
     (progs, layout)

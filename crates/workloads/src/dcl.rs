@@ -11,12 +11,12 @@
 //! designs would accelerate on weaker models (readers `Critical`,
 //! initializer `NonCritical`).
 
-use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, RmwKind, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// The payload value the initializer publishes.
 pub const MAGIC: u64 = 0xC0FF_EE00_DEAD_BEEF;
@@ -91,6 +91,12 @@ impl DclThread {
             initialized_by_me: 0,
             torn_reads: 0,
         }
+    }
+}
+
+impl Steps for DclThread {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
     }
 
     fn step(&mut self) -> bool {
@@ -184,45 +190,6 @@ impl DclThread {
     }
 }
 
-impl std::fmt::Debug for DclThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DclThread")
-            .field("tid", &self.tid)
-            .field("fast_hits", &self.fast_hits)
-            .field("torn_reads", &self.torn_reads)
-            .finish()
-    }
-}
-
-impl ThreadProgram for DclThread {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "dcl"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// The reader-side (acquire) fence site of thread `tid`.
 pub fn reader_site(tid: usize) -> FenceSite {
     FenceSite(2 * tid as u32)
@@ -246,13 +213,13 @@ pub fn programs(
     let mut root = SimRng::new(seed ^ 0xDC1);
     (0..cfg.num_cores)
         .map(|tid| {
-            Box::new(DclThread::new(
+            program(DclThread::new(
                 tid,
                 layout.clone(),
                 fenced,
                 iterations,
                 root.fork(tid as u64),
-            )) as Box<dyn ThreadProgram>
+            ))
         })
         .collect()
 }

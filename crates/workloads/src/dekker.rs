@@ -16,12 +16,12 @@
 //! critical section) or a deadlock, both of which the explorer oracle
 //! detects.
 
-use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// Shared words of the Dekker protocol.
 #[derive(Clone, Debug)]
@@ -103,6 +103,12 @@ impl DekkerThread {
         let tag = self.ops.load(self.layout.flag[self.other()]);
         DkState::CheckOther { tag }
     }
+}
+
+impl Steps for DekkerThread {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
 
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, DkState::Finished) {
@@ -176,45 +182,6 @@ impl DekkerThread {
     }
 }
 
-impl std::fmt::Debug for DekkerThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DekkerThread")
-            .field("tid", &self.tid)
-            .field("entries", &self.entries)
-            .field("violations", &self.mutex_violations)
-            .finish()
-    }
-}
-
-impl ThreadProgram for DekkerThread {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "dekker"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Builds the two Dekker threads. Thread 0 is the hot side (`Critical`),
 /// thread 1 the rare side (`NonCritical`) — the paper's WS+ assignment.
 pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn ThreadProgram>> {
@@ -228,7 +195,7 @@ pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn 
             } else {
                 FenceRole::NonCritical
             };
-            Box::new(DekkerThread {
+            program(DekkerThread {
                 tid,
                 layout: layout.clone(),
                 role,
@@ -239,7 +206,7 @@ pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn 
                 state: DkState::Start,
                 entries: 0,
                 mutex_violations: 0,
-            }) as Box<dyn ThreadProgram>
+            })
         })
         .collect()
 }

@@ -1,28 +1,75 @@
-//! Micro-op queue helper for writing workload state machines.
+//! Micro-op queue and driver for writing workload state machines.
 //!
 //! Workload programs are state machines whose steps emit batches of
 //! instructions and then wait for tagged values. [`Ops`] manages the
-//! emission queue, tag allocation, and delivered-value storage, so a
-//! workload's `ThreadProgram::fetch` reduces to:
+//! emission queue, tag allocation, and delivered-value storage. A kernel
+//! implements [`Steps`] (its queue plus a `step` that inspects delivered
+//! values, pushes more ops, and advances the state), and [`program`]
+//! turns it into a [`ThreadProgram`] whose `fetch` is the one loop every
+//! kernel shares:
 //!
 //! ```ignore
-//! fn fetch(&mut self) -> Fetch {
-//!     loop {
-//!         if let Some(f) = self.ops.poll() { return f; }
-//!         if !self.step() { return Fetch::Done; }
-//!     }
+//! loop {
+//!     if let Some(f) = kernel.ops().poll() { return f; }
+//!     if !kernel.step() { return Fetch::Done; }
 //! }
 //! ```
 //!
-//! where `step` inspects delivered values, pushes more ops, and advances
-//! the state. Everything is `Clone`, so W+ checkpoints work by cloning
-//! the whole program.
+//! Everything is `Clone`, so W+ checkpoints work by cloning the whole
+//! kernel. The program's `as_any` is the kernel itself, so harnesses
+//! read results with `Machine::threads_of::<Kernel>()`.
 
 use std::collections::VecDeque;
 
 use asymfence_common::hash::FxHashMap;
 
-use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, Instr, RmwKind};
+use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, Instr, RmwKind, ThreadProgram};
+
+/// A workload state machine driven by an [`Ops`] queue.
+pub trait Steps: Clone + 'static {
+    /// The kernel's emission queue.
+    fn ops(&mut self) -> &mut Ops;
+
+    /// Inspects delivered values, pushes more ops and advances the
+    /// state; `false` once the kernel has finished. Runs only when the
+    /// queue has drained.
+    fn step(&mut self) -> bool;
+}
+
+/// Runs a [`Steps`] kernel as a [`ThreadProgram`]. Generic, so each
+/// kernel gets its own monomorphised `fetch`.
+#[derive(Clone)]
+struct Driver<K>(K);
+
+impl<K: Steps> ThreadProgram for Driver<K> {
+    fn fetch(&mut self) -> Fetch {
+        loop {
+            if let Some(f) = self.0.ops().poll() {
+                return f;
+            }
+            if !self.0.step() {
+                return Fetch::Done;
+            }
+        }
+    }
+
+    fn deliver(&mut self, tag: u64, value: u64) {
+        self.0.ops().deliver(tag, value);
+    }
+
+    fn snapshot(&self) -> Box<dyn ThreadProgram> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        &self.0
+    }
+}
+
+/// Boxes `kernel` as a thread program; its `as_any` is the kernel.
+pub fn program<K: Steps>(kernel: K) -> Box<dyn ThreadProgram> {
+    Box::new(Driver(kernel))
+}
 
 /// A tag identifying a delivered value.
 pub type Tag = u64;

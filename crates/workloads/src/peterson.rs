@@ -15,12 +15,12 @@
 //! kernels: an `owner` word is stored on entry and re-read inside the
 //! critical section; observing another thread's id is a violation.
 
-use asymfence::prelude::{Addr, Fetch, ThreadProgram};
+use asymfence::prelude::{Addr, ThreadProgram};
 use asymfence_common::config::MachineConfig;
 use asymfence_common::rng::SimRng;
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// Critical-section entries each thread performs (matched by the
 /// analyzer's cost comparisons, like the `sites` iteration constants).
@@ -90,6 +90,12 @@ impl PetersonThread {
         let tag = self.ops.load(self.layout.flag[self.other()]);
         PtState::CheckOther { tag }
     }
+}
+
+impl Steps for PetersonThread {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
 
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, PtState::Finished) {
@@ -147,45 +153,6 @@ impl PetersonThread {
     }
 }
 
-impl std::fmt::Debug for PetersonThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PetersonThread")
-            .field("tid", &self.tid)
-            .field("entries", &self.entries)
-            .field("violations", &self.mutex_violations)
-            .finish()
-    }
-}
-
-impl ThreadProgram for PetersonThread {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "peterson"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Builds the two (fence-free) Peterson threads.
 pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn ThreadProgram>> {
     let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
@@ -193,7 +160,7 @@ pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn 
     let mut root = SimRng::new(seed ^ 0x9E7E);
     (0..2)
         .map(|tid| {
-            Box::new(PetersonThread {
+            program(PetersonThread {
                 tid,
                 layout: layout.clone(),
                 iterations,
@@ -203,7 +170,7 @@ pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn 
                 state: PtState::Start,
                 entries: 0,
                 mutex_violations: 0,
-            }) as Box<dyn ThreadProgram>
+            })
         })
         .collect()
 }

@@ -24,11 +24,11 @@
 //! --crossval` compares its wall-clock ranking against this simulated
 //! version's cycle ranking.
 
-use asymfence::prelude::{Addr, FenceRole, Fetch, RmwKind, ThreadProgram};
+use asymfence::prelude::{Addr, FenceRole, RmwKind, ThreadProgram};
 use asymfence_common::rng::SimRng;
 
 use crate::layout::{AddressAllocator, Scratch};
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// How a transaction class picks its locations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -332,6 +332,12 @@ impl TlrwProgram {
             self.ops.compute(c);
         }
     }
+}
+
+impl Steps for TlrwProgram {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
 
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, TxState::Finished) {
@@ -536,46 +542,6 @@ impl TlrwProgram {
     }
 }
 
-impl std::fmt::Debug for TlrwProgram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TlrwProgram")
-            .field("tid", &self.tid)
-            .field("profile", &self.profile.name)
-            .field("commits", &self.commits)
-            .field("aborts", &self.aborts)
-            .finish()
-    }
-}
-
-impl ThreadProgram for TlrwProgram {
-    fn fetch(&mut self) -> Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        self.profile.name
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Installs a TLRW workload on a machine: builds the layout, warms the
 /// lock objects and per-thread log buffers into the L2 (the program
 /// initialized them before the measured region), and adds one thread per
@@ -615,7 +581,7 @@ pub fn install(
     }
     let mut root = SimRng::new(seed ^ 0x7152_57a1);
     for tid in 0..threads {
-        m.add_thread(Box::new(TlrwProgram::new(
+        m.add_thread(program(TlrwProgram::new(
             tid,
             layout.clone(),
             profile.clone(),
@@ -643,13 +609,13 @@ pub fn programs(
     let mut root = SimRng::new(seed ^ 0x7152_57a1);
     (0..threads)
         .map(|tid| {
-            Box::new(TlrwProgram::new(
+            program(TlrwProgram::new(
                 tid,
                 layout.clone(),
                 profile.clone(),
                 root.fork(tid as u64),
                 target_commits,
-            )) as Box<dyn ThreadProgram>
+            ))
         })
         .collect()
 }

@@ -22,7 +22,7 @@
 use asymfence::prelude::{Addr, FenceRole, FenceSite, RmwKind};
 
 use crate::layout::AddressAllocator;
-use crate::ops::{Ops, Tag};
+use crate::ops::{program, Ops, Steps, Tag};
 
 /// Cycles an unsuccessful lock attempt backs off before retrying.
 const LOCK_BACKOFF: u64 = 24;
@@ -333,7 +333,11 @@ pub struct WsqDriver {
     pub got: u64,
 }
 
-impl WsqDriver {
+impl Steps for WsqDriver {
+    fn ops(&mut self) -> &mut Ops {
+        &mut self.ops
+    }
+
     fn step(&mut self) -> bool {
         match std::mem::replace(&mut self.state, DriverSt::Idle) {
             DriverSt::Idle => {
@@ -386,35 +390,6 @@ impl WsqDriver {
     }
 }
 
-impl asymfence::prelude::ThreadProgram for WsqDriver {
-    fn fetch(&mut self) -> asymfence::prelude::Fetch {
-        loop {
-            if let Some(f) = self.ops.poll() {
-                return f;
-            }
-            if !self.step() {
-                return asymfence::prelude::Fetch::Done;
-            }
-        }
-    }
-
-    fn deliver(&mut self, tag: u64, value: u64) {
-        self.ops.deliver(tag, value);
-    }
-
-    fn snapshot(&self) -> Box<dyn asymfence::prelude::ThreadProgram> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "wsq-driver"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Builds the two driver threads (owner then thief).
 pub fn driver_programs(
     cfg: &asymfence_common::config::MachineConfig,
@@ -425,7 +400,7 @@ pub fn driver_programs(
     let mut root = asymfence_common::rng::SimRng::new(seed ^ 0x0575_0000);
     (0..2)
         .map(|tid| {
-            Box::new(WsqDriver {
+            program(WsqDriver {
                 tid,
                 deque: layout.clone(),
                 rounds,
@@ -435,7 +410,7 @@ pub fn driver_programs(
                 ops: Ops::new(),
                 state: DriverSt::Idle,
                 got: 0,
-            }) as Box<dyn asymfence::prelude::ThreadProgram>
+            })
         })
         .collect()
 }
