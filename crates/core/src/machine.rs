@@ -426,6 +426,16 @@ impl Machine {
         self.cores[core.0].program()
     }
 
+    /// The programs of type `T` among the machine's threads, in core
+    /// order (for reading results after a run). A program is seen
+    /// through its [`ThreadProgram::as_any`], so a kernel wrapped in a
+    /// driver or a fence decorator is still found.
+    pub fn threads_of<T: 'static>(&self) -> impl Iterator<Item = &T> + '_ {
+        self.cores
+            .iter()
+            .filter_map(|c| c.program().as_any().downcast_ref::<T>())
+    }
+
     /// Merges all statistics into the paper's reporting format. Per-core
     /// and traffic counters are plain `Copy` data, so the harvest is a
     /// flat copy — no per-counter clones.

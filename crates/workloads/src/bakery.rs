@@ -269,19 +269,8 @@ pub fn programs(
 
 /// Sums `(entries, mutex_violations)` over the machine's Bakery threads.
 pub fn tally(m: &asymfence::Machine) -> (u64, u64) {
-    let mut entries = 0;
-    let mut violations = 0;
-    for i in 0..m.config().num_cores {
-        if let Some(p) = m
-            .thread_program(asymfence_common::ids::CoreId(i))
-            .as_any()
-            .downcast_ref::<BakeryThread>()
-        {
-            entries += p.entries;
-            violations += p.mutex_violations;
-        }
-    }
-    (entries, violations)
+    m.threads_of::<BakeryThread>()
+        .fold((0, 0), |(x, y), p| (x + p.entries, y + p.mutex_violations))
 }
 
 #[cfg(test)]

@@ -515,15 +515,7 @@ mod tests {
         }
         assert_eq!(m.run(100_000_000), RunOutcome::Finished);
         let expected = CilkApp::Fib.profile().total_tasks(4);
-        let executed: u64 = (0..4)
-            .map(|i| {
-                m.thread_program(CoreId(i))
-                    .as_any()
-                    .downcast_ref::<CilkWorker>()
-                    .expect("cilk worker")
-                    .executed
-            })
-            .sum();
+        let executed: u64 = m.threads_of::<CilkWorker>().map(|w| w.executed).sum();
         assert_eq!(executed, expected, "every task ran exactly once");
         let s = m.stats();
         assert!(s.aggregate().sf_count + s.aggregate().wf_count > 0);
@@ -538,12 +530,7 @@ mod tests {
         }
         assert_eq!(m.run(200_000_000), RunOutcome::Finished);
         let (mut stolen, mut executed) = (0u64, 0u64);
-        for i in 0..4 {
-            let w = m
-                .thread_program(CoreId(i))
-                .as_any()
-                .downcast_ref::<CilkWorker>()
-                .unwrap();
+        for w in m.threads_of::<CilkWorker>() {
             stolen += w.stolen;
             executed += w.executed;
         }

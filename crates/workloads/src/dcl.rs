@@ -226,19 +226,9 @@ pub fn programs(
 
 /// Sums `(fast_hits, inits, torn_reads)` over the machine's DCL threads.
 pub fn tally(m: &asymfence::Machine) -> (u64, u64, u64) {
-    let (mut fast, mut inits, mut torn) = (0, 0, 0);
-    for i in 0..m.config().num_cores {
-        if let Some(p) = m
-            .thread_program(asymfence_common::ids::CoreId(i))
-            .as_any()
-            .downcast_ref::<DclThread>()
-        {
-            fast += p.fast_hits;
-            inits += p.initialized_by_me;
-            torn += p.torn_reads;
-        }
-    }
-    (fast, inits, torn)
+    m.threads_of::<DclThread>().fold((0, 0, 0), |(f, i, t), p| {
+        (f + p.fast_hits, i + p.initialized_by_me, t + p.torn_reads)
+    })
 }
 
 #[cfg(test)]

@@ -178,19 +178,8 @@ pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn 
 /// Sums `(entries, mutex_violations)` over the machine's Peterson
 /// threads.
 pub fn tally(m: &asymfence::Machine) -> (u64, u64) {
-    let mut entries = 0;
-    let mut violations = 0;
-    for i in 0..m.config().num_cores {
-        if let Some(p) = m
-            .thread_program(asymfence_common::ids::CoreId(i))
-            .as_any()
-            .downcast_ref::<PetersonThread>()
-        {
-            entries += p.entries;
-            violations += p.mutex_violations;
-        }
-    }
-    (entries, violations)
+    m.threads_of::<PetersonThread>()
+        .fold((0, 0), |(x, y), p| (x + p.entries, y + p.mutex_violations))
 }
 
 #[cfg(test)]

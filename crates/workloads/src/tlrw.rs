@@ -622,19 +622,8 @@ pub fn programs(
 
 /// Sums `(commits, aborts)` across the machine's TLRW threads.
 pub fn tally(m: &asymfence::Machine) -> (u64, u64) {
-    let mut commits = 0;
-    let mut aborts = 0;
-    for i in 0..m.config().num_cores {
-        if let Some(p) = m
-            .thread_program(asymfence_common::ids::CoreId(i))
-            .as_any()
-            .downcast_ref::<TlrwProgram>()
-        {
-            commits += p.commits;
-            aborts += p.aborts;
-        }
-    }
-    (commits, aborts)
+    m.threads_of::<TlrwProgram>()
+        .fold((0, 0), |(x, y), p| (x + p.commits, y + p.aborts))
 }
 
 #[cfg(test)]

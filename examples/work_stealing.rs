@@ -33,12 +33,7 @@ fn main() {
         let stats = m.stats();
         let agg = stats.aggregate();
         let (mut executed, mut stolen) = (0u64, 0u64);
-        for i in 0..8 {
-            let w = m
-                .thread_program(CoreId(i))
-                .as_any()
-                .downcast_ref::<CilkWorker>()
-                .expect("cilk worker");
+        for w in m.threads_of::<CilkWorker>() {
             executed += w.executed;
             stolen += w.stolen;
         }

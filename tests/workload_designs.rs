@@ -34,15 +34,7 @@ fn cilk_every_design_executes_every_task_exactly_once() {
             m.add_thread(p);
         }
         assert_eq!(m.run(2_000_000_000), RunOutcome::Finished, "{design}");
-        let executed: u64 = (0..4)
-            .map(|i| {
-                m.thread_program(CoreId(i))
-                    .as_any()
-                    .downcast_ref::<CilkWorker>()
-                    .unwrap()
-                    .executed
-            })
-            .sum();
+        let executed: u64 = m.threads_of::<CilkWorker>().map(|w| w.executed).sum();
         assert_eq!(
             executed,
             CilkApp::Knapsack.profile().total_tasks(4),
