@@ -66,9 +66,6 @@ impl ThreadProgram for NullProgram {
     fn snapshot(&self) -> Box<dyn ThreadProgram> {
         Box::new(NullProgram)
     }
-    fn name(&self) -> &str {
-        "null"
-    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

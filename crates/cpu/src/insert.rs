@@ -56,7 +56,6 @@ pub struct FencedProgram {
     dirty: Vec<u64>,
     /// A load held back while its guarding fence is emitted.
     pending: Option<Instr>,
-    name: String,
 }
 
 impl FencedProgram {
@@ -72,7 +71,6 @@ impl FencedProgram {
         line_bytes: u64,
         role: FenceRole,
     ) -> Self {
-        let name = format!("fenced:{}", inner.name());
         FencedProgram {
             inner,
             thread: thread as u32,
@@ -81,7 +79,6 @@ impl FencedProgram {
             role,
             dirty: Vec::new(),
             pending: None,
-            name,
         }
     }
 
@@ -157,12 +154,7 @@ impl ThreadProgram for FencedProgram {
             role: self.role,
             dirty: self.dirty.clone(),
             pending: self.pending.clone(),
-            name: self.name.clone(),
         })
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -189,14 +181,12 @@ impl ThreadProgram for FencedProgram {
 /// ```
 pub struct StripFences {
     inner: Box<dyn ThreadProgram>,
-    name: String,
 }
 
 impl StripFences {
     /// Wraps `inner`, dropping its fences from the fetch stream.
     pub fn new(inner: Box<dyn ThreadProgram>) -> Self {
-        let name = format!("nofence:{}", inner.name());
-        StripFences { inner, name }
+        StripFences { inner }
     }
 
     /// Downcasting access to the wrapped program (result tallies live
@@ -223,12 +213,7 @@ impl ThreadProgram for StripFences {
     fn snapshot(&self) -> Box<dyn ThreadProgram> {
         Box::new(StripFences {
             inner: self.inner.snapshot(),
-            name: self.name.clone(),
         })
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -160,11 +160,6 @@ pub trait ThreadProgram {
     /// dispatch, when no tagged delivery is outstanding.
     fn snapshot(&self) -> Box<dyn ThreadProgram>;
 
-    /// Debug name.
-    fn name(&self) -> &str {
-        "program"
-    }
-
     /// Downcasting access, so harnesses can read results (e.g. commit
     /// counts) out of a finished program.
     fn as_any(&self) -> &dyn std::any::Any;
@@ -256,10 +251,6 @@ impl ThreadProgram for ScriptProgram {
 
     fn snapshot(&self) -> Box<dyn ThreadProgram> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &str {
-        "script"
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
