@@ -195,3 +195,40 @@ fn pinned_regression_seeds_reproduce_exactly() {
     }
     assert!(checked >= 24, "pin file lost lines: {checked}");
 }
+
+/// Inferred fences injected by `FencedProgram` around kernels stripped
+/// by `StripFences` keep the protocols' own result tallies readable:
+/// both decorators hand downcasts through to the kernel.
+#[test]
+fn decorated_kernels_report_their_tallies_under_inferred_fences() {
+    use asymfence::cpu::insert::FencedProgram;
+    use asymfence::prelude::{FenceDesign, FenceRole, Machine, RunOutcome};
+    use asymfence_workloads::sites::{BAKERY_ITERS, DEKKER_ITERS};
+    use asymfence_workloads::{bakery, dekker};
+
+    let run = |k: InferredKernel| {
+        let seed = asymfence_bench::SEED;
+        let cfg = MachineConfig::builder()
+            .cores(k.cores())
+            .fence_design(FenceDesign::SPlus)
+            .build();
+        let spec = analyze(k, seed).placement.spec();
+        let mut m = Machine::new(&cfg);
+        for (tid, p) in k.programs(&cfg, seed).into_iter().enumerate() {
+            m.add_thread(Box::new(FencedProgram::new(
+                p,
+                tid,
+                spec,
+                cfg.line_bytes,
+                FenceRole::NonCritical,
+            )));
+        }
+        assert_eq!(m.run(50_000_000), RunOutcome::Finished, "{}", k.name());
+        m
+    };
+    // (entries, mutual-exclusion violations)
+    let dekker = dekker::tally(&run(InferredKernel::Dekker));
+    assert_eq!(dekker, (2 * DEKKER_ITERS, 0));
+    let bakery = bakery::tally(&run(InferredKernel::Bakery));
+    assert_eq!(bakery, (3 * BAKERY_ITERS, 0));
+}

@@ -418,11 +418,6 @@ impl Machine {
         self.mem.take_schedule_recording()
     }
 
-    /// The program running on `core` (for reading results after a run).
-    pub fn thread_program(&self, core: CoreId) -> &dyn ThreadProgram {
-        self.cores[core.0].program()
-    }
-
     /// The programs of type `T` among the machine's threads, in core
     /// order (for reading results after a run). A program is seen
     /// through its [`ThreadProgram::as_any`], so a kernel wrapped in a

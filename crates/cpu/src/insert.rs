@@ -14,6 +14,10 @@
 //! [`StripFences`] is the inverse tool: it hides every fence an
 //! annotated builder emits, producing the unannotated view the analyzer
 //! starts from.
+//!
+//! Both decorators are transparent to downcasts: their
+//! [`ThreadProgram::as_any`] is the wrapped program's, so a harness
+//! reads a decorated kernel's results exactly as an undecorated one's.
 
 use asymfence_common::placement::PlacementSpec;
 
@@ -80,12 +84,6 @@ impl FencedProgram {
             dirty: Vec::new(),
             pending: None,
         }
-    }
-
-    /// Downcasting access to the wrapped program (result tallies live
-    /// there).
-    pub fn inner_any(&self) -> &dyn std::any::Any {
-        self.inner.as_any()
     }
 
     fn mark_dirty(&mut self, line: u64) {
@@ -158,7 +156,7 @@ impl ThreadProgram for FencedProgram {
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.inner.as_any()
     }
 }
 
@@ -188,12 +186,6 @@ impl StripFences {
     pub fn new(inner: Box<dyn ThreadProgram>) -> Self {
         StripFences { inner }
     }
-
-    /// Downcasting access to the wrapped program (result tallies live
-    /// there).
-    pub fn inner_any(&self) -> &dyn std::any::Any {
-        self.inner.as_any()
-    }
 }
 
 impl ThreadProgram for StripFences {
@@ -217,7 +209,7 @@ impl ThreadProgram for StripFences {
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.inner.as_any()
     }
 }
 

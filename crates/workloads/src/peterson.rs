@@ -246,21 +246,7 @@ mod tests {
             )));
         }
         assert_eq!(m.run(400_000_000), RunOutcome::Finished);
-        let mut entries = 0;
-        let mut violations = 0;
-        for i in 0..m.config().num_cores {
-            if let Some(f) = m
-                .thread_program(asymfence_common::ids::CoreId(i))
-                .as_any()
-                .downcast_ref::<FencedProgram>()
-            {
-                // The inner program holds the tallies.
-                if let Some(p) = f.inner_any().downcast_ref::<PetersonThread>() {
-                    entries += p.entries;
-                    violations += p.mutex_violations;
-                }
-            }
-        }
+        let (entries, violations) = tally(&m);
         assert_eq!(entries, 2 * PETERSON_ITERS);
         assert_eq!(violations, 0, "fenced Peterson must exclude");
     }
