@@ -112,7 +112,9 @@ pub fn gather(dir: &Path, now_ms: u64) -> Result<FleetStatus, String> {
         let done = distinct(&log.cells);
         fleet.done += done;
 
-        let hb = log.heartbeats.last();
+        // Judge the current life by its own heartbeats: until it beats,
+        // it is starting, however old the previous life's last beat.
+        let hb = log.heartbeats[log.heartbeats_before_claim..].last();
         let age = hb.map(|h| now_ms.saturating_sub(h.ts_ms));
         let state = if !log.done.is_empty() {
             ShardState::Done
@@ -126,9 +128,7 @@ pub fn gather(dir: &Path, now_ms: u64) -> Result<FleetStatus, String> {
         };
         // A heartbeat counts the cells and cycles of every life but
         // times only its own, so rate the current life alone: take off
-        // what the prior lives journaled. A heartbeat of a prior life
-        // (the current one has not beaten yet) counts no more cells than
-        // those lives did, and gives no rate.
+        // what the prior lives journaled.
         let prior = &log.cells[..log.cells_before_claim];
         let prior_done = distinct(prior);
         let prior_cycles: u64 = prior.iter().map(|c| c.cycles).sum();
@@ -400,6 +400,25 @@ mod tests {
         );
         // 7 cells left at this life's one cell per second.
         assert_eq!(fleet.eta_ns, Some(7_000_000_000));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gather_judges_a_resumed_shard_by_its_current_life_heartbeats() {
+        let dir = temp_dir();
+        let now = 100_000;
+        // The first life beat 8 s ago; the resumed life has not beaten.
+        write_shard(
+            &dir,
+            0,
+            &[claim(0), cell(0), heartbeat(0, 1, now - 8_000), claim(0)],
+        );
+        let fleet = gather(&dir, now).unwrap();
+        let shard = &fleet.shards[0];
+        assert_eq!(shard.state, ShardState::Starting);
+        assert_eq!(shard.heartbeat_age_ms, None);
+        assert_eq!(shard.sim_cycles_per_sec, 0.0);
+        assert_eq!(fleet.eta_ns, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -451,6 +451,9 @@ pub struct ShardLog {
     /// How many of `cells` precede the latest claim: the prior lives'
     /// share, which the current life's heartbeats count but do not time.
     pub cells_before_claim: usize,
+    /// How many of `heartbeats` precede the latest claim: the prior
+    /// lives' beats, which say nothing of the current life's liveness.
+    pub heartbeats_before_claim: usize,
     /// Completion markers.
     pub done: Vec<DoneRecord>,
     /// Lines skipped because their version/kind is unknown.
@@ -501,6 +504,7 @@ pub fn read_shard_log(path: &Path) -> Result<ShardLog, String> {
                 match rec {
                     Record::Claim(c) => {
                         log.cells_before_claim = log.cells.len();
+                        log.heartbeats_before_claim = log.heartbeats.len();
                         log.claims.push(c);
                     }
                     Record::Heartbeat(h) => log.heartbeats.push(h),
