@@ -921,7 +921,7 @@ impl MemSystem {
             Msg::GrtReply {
                 fence_serial,
                 remote_ps,
-            } => self.handle_grt_reply(now, node, fence_serial, remote_ps),
+            } => self.handle_grt_reply(node, fence_serial, remote_ps),
             Msg::Inv {
                 line,
                 requester,
@@ -1114,21 +1114,13 @@ impl MemSystem {
         }
     }
 
-    fn handle_grt_reply(
-        &mut self,
-        now: Cycle,
-        core: usize,
-        fence_serial: u64,
-        remote_ps: Vec<LineAddr>,
-    ) {
-        let num_cores = self.cfg.num_cores;
+    fn handle_grt_reply(&mut self, core: usize, fence_serial: u64, remote_ps: Vec<LineAddr>) {
         let Some(wee) = self.ports[core].wee.as_mut() else {
             return; // stale (fence already completed)
         };
         if wee.fence_serial != fence_serial {
             return;
         }
-        let _ = (now, num_cores);
         wee.collected.extend(remote_ps);
         wee.remaining -= 1;
         if wee.remaining == 0 {
@@ -1549,8 +1541,8 @@ mod tests {
         let mut m = ms(4);
         let a = Addr::new(0x500);
         // Two cores write the same line simultaneously.
-        let s0 = m.issue_store(0, CoreId(0), a, 1);
-        let s1 = m.issue_store(0, CoreId(1), a.offset(8), 2);
+        m.issue_store(0, CoreId(0), a, 1);
+        m.issue_store(0, CoreId(1), a.offset(8), 2);
         let mut done = 0;
         for t in 0..5000 {
             m.tick(t);
@@ -1568,7 +1560,6 @@ mod tests {
         assert_eq!(done, 2, "both writes must eventually complete");
         assert_eq!(m.backdoor_read(a), 1);
         assert_eq!(m.backdoor_read(a.offset(8)), 2);
-        let _ = (s0, s1);
     }
 
     #[test]
@@ -1580,29 +1571,6 @@ mod tests {
         let _ = next_event(&mut m, 0, 0, 1000);
         m.tick(5000);
         assert!(m.is_idle());
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-
-    #[test]
-    fn dbg_contended() {
-        let cfg = MachineConfig::builder().cores(4).build();
-        let mut m = MemSystem::new(&cfg);
-        let a = Addr::new(0x500);
-        let _s0 = m.issue_store(0, CoreId(0), a, 1);
-        let _s1 = m.issue_store(0, CoreId(1), a.offset(8), 2);
-        for t in 0..2000 {
-            m.tick(t);
-            for c in 0..2 {
-                while let Some(ev) = m.pop_event(CoreId(c)) {
-                    eprintln!("t={t} core={c} {ev:?}");
-                }
-            }
-        }
-        eprintln!("idle={}", m.is_idle());
     }
 }
 

@@ -624,7 +624,7 @@ impl Core {
                     let addr = *addr;
                     let forwarded = *forwarded;
                     if !forwarded {
-                        match self.load_retire_gate(mem, epoch, line) {
+                        match self.load_retire_gate(epoch, line) {
                             LoadGate::Free => {}
                             LoadGate::Early => {
                                 if !mem.bs_insert(self.id, line, word_mask, epoch) {
@@ -889,7 +889,7 @@ impl Core {
 
     /// Decides how a performed load at the ROB head may retire given the
     /// incomplete fences that precede it.
-    fn load_retire_gate(&self, _mem: &MemSystem, epoch: u64, line: LineAddr) -> LoadGate {
+    fn load_retire_gate(&self, epoch: u64, line: LineAddr) -> LoadGate {
         let mut gate = LoadGate::Free;
         for f in &self.active_fences {
             if f.serial > epoch {
