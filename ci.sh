@@ -242,4 +242,9 @@ echo "== perfbench builds (offline) =="
 # so a workspace API change that breaks it would otherwise go unseen.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench tests (offline) =="
+# Its expected.txt digests pin every simulated result of figures, sweep
+# and search, so a change that moves any simulated counter fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"
