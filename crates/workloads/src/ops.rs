@@ -3,10 +3,10 @@
 //! Workload programs are state machines whose steps emit batches of
 //! instructions and then wait for tagged values. [`Ops`] manages the
 //! emission queue, tag allocation, and delivered-value storage. A kernel
-//! implements [`Steps`] (its queue plus a `step` that inspects delivered
-//! values, pushes more ops, and advances the state), and [`program`]
-//! turns it into a [`ThreadProgram`] whose `fetch` is the one loop every
-//! kernel shares:
+//! implements `Steps` (its queue plus a `step` that inspects delivered
+//! values, pushes more ops, and advances the state), and `program` turns
+//! it into a [`ThreadProgram`] whose `fetch` is the one loop every kernel
+//! shares:
 //!
 //! ```ignore
 //! loop {
@@ -26,7 +26,7 @@ use asymfence_common::hash::FxHashMap;
 use asymfence::prelude::{Addr, FenceRole, FenceSite, Fetch, Instr, RmwKind, ThreadProgram};
 
 /// A workload state machine driven by an [`Ops`] queue.
-pub trait Steps: Clone + 'static {
+pub(crate) trait Steps: Clone + 'static {
     /// The kernel's emission queue.
     fn ops(&mut self) -> &mut Ops;
 
@@ -67,7 +67,7 @@ impl<K: Steps> ThreadProgram for Driver<K> {
 }
 
 /// Boxes `kernel` as a thread program; its `as_any` is the kernel.
-pub fn program<K: Steps>(kernel: K) -> Box<dyn ThreadProgram> {
+pub(crate) fn program<K: Steps>(kernel: K) -> Box<dyn ThreadProgram> {
     Box::new(Driver(kernel))
 }
 
