@@ -161,7 +161,8 @@ pub trait ThreadProgram {
     fn snapshot(&self) -> Box<dyn ThreadProgram>;
 
     /// Downcasting access, so harnesses can read results (e.g. commit
-    /// counts) out of a finished program.
+    /// counts) out of a finished program. A decorator answers with the
+    /// program it wraps.
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
