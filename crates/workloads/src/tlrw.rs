@@ -553,16 +553,9 @@ pub fn install(
     target_commits: Option<u64>,
 ) {
     let cfg = m.config().clone();
-    let threads = cfg.num_cores;
-    let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
-    let layout = TlrwLayout::with_chunk(
-        &mut alloc,
-        threads,
-        profile.locations,
-        cfg.interleave_bytes(),
-    );
+    let (progs, layout) = build(profile, &cfg, seed, target_commits);
     // Warm every lock object's lines and the log buffers.
-    let obj_words = threads as u64 + 2;
+    let obj_words = cfg.num_cores as u64 + 2;
     for loc in 0..profile.locations {
         let base = layout.reader_flag(loc, 0);
         let mut a = base;
@@ -571,7 +564,7 @@ pub fn install(
             a = a.offset(cfg.line_bytes);
         }
     }
-    for tid in 0..threads {
+    for tid in 0..cfg.num_cores {
         let (base, bytes) = layout.log_region(tid);
         let mut a = base;
         while a.raw() < base.raw() + bytes {
@@ -579,25 +572,17 @@ pub fn install(
             a = a.offset(cfg.line_bytes);
         }
     }
-    let mut root = SimRng::new(seed ^ 0x7152_57a1);
-    for tid in 0..threads {
-        m.add_thread(program(TlrwProgram::new(
-            tid,
-            layout.clone(),
-            profile.clone(),
-            root.fork(tid as u64),
-            target_commits,
-        )));
+    for p in progs {
+        m.add_thread(p);
     }
 }
 
-/// Builds one [`TlrwProgram`] per core for a profile.
-pub fn programs(
+fn build(
     profile: &TxProfile,
     cfg: &asymfence_common::config::MachineConfig,
     seed: u64,
     target_commits: Option<u64>,
-) -> Vec<Box<dyn ThreadProgram>> {
+) -> (Vec<Box<dyn ThreadProgram>>, TlrwLayout) {
     let threads = cfg.num_cores;
     let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
     let layout = TlrwLayout::with_chunk(
@@ -607,7 +592,7 @@ pub fn programs(
         cfg.interleave_bytes(),
     );
     let mut root = SimRng::new(seed ^ 0x7152_57a1);
-    (0..threads)
+    let progs = (0..threads)
         .map(|tid| {
             program(TlrwProgram::new(
                 tid,
@@ -617,7 +602,18 @@ pub fn programs(
                 target_commits,
             ))
         })
-        .collect()
+        .collect();
+    (progs, layout)
+}
+
+/// Builds one [`TlrwProgram`] per core for a profile.
+pub fn programs(
+    profile: &TxProfile,
+    cfg: &asymfence_common::config::MachineConfig,
+    seed: u64,
+    target_commits: Option<u64>,
+) -> Vec<Box<dyn ThreadProgram>> {
+    build(profile, cfg, seed, target_commits).0
 }
 
 /// Sums `(commits, aborts)` across the machine's TLRW threads.
