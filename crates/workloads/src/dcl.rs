@@ -4,12 +4,13 @@
 //! flag without the lock; on the slow path they take a lock, re-check,
 //! and initialize. Under relaxed models the idiom is famously broken
 //! without fences (a reader can observe `initialized = 1` but stale
-//! payload). Under **TSO** the publication side is safe without any fence
-//! (stores are not reordered with stores), and the reader side is safe
-//! because loads are not reordered with loads — this module demonstrates
-//! both, and also provides the *fenced* variant the paper's asymmetric
-//! designs would accelerate on weaker models (readers `Critical`,
-//! initializer `NonCritical`).
+//! payload). The threads carry the fences weaker models need, the
+//! placement the paper's asymmetric designs accelerate (readers
+//! `Critical`, initializer `NonCritical`). Under **TSO** the idiom is
+//! safe without them: the publication side because stores are not
+//! reordered with stores, the reader side because loads are not
+//! reordered with loads. The tests demonstrate that by running the
+//! threads through `StripFences`.
 
 use asymfence::prelude::{Addr, FenceRole, FenceSite, RmwKind, ThreadProgram};
 use asymfence_common::config::MachineConfig;
@@ -62,7 +63,6 @@ enum DclSt {
 pub struct DclThread {
     tid: usize,
     layout: DclLayout,
-    fenced: bool,
     iterations: u64,
     rng: SimRng,
     ops: Ops,
@@ -77,11 +77,10 @@ pub struct DclThread {
 }
 
 impl DclThread {
-    fn new(tid: usize, layout: DclLayout, fenced: bool, iterations: u64, rng: SimRng) -> Self {
+    fn new(tid: usize, layout: DclLayout, iterations: u64, rng: SimRng) -> Self {
         DclThread {
             tid,
             layout,
-            fenced,
             iterations,
             rng,
             ops: Ops::new(),
@@ -115,12 +114,10 @@ impl Steps for DclThread {
             DclSt::FirstCheck { tag } => {
                 if self.ops.take(tag) != 0 {
                     self.fast_hits += 1;
-                    if self.fenced {
-                        // On weaker-than-TSO models the reader needs an
-                        // acquire fence here; readers are the hot side.
-                        self.ops
-                            .fence_at(reader_site(self.tid), FenceRole::Critical);
-                    }
+                    // On weaker-than-TSO models the reader needs an
+                    // acquire fence here; readers are the hot side.
+                    self.ops
+                        .fence_at(reader_site(self.tid), FenceRole::Critical);
                     let tags = self
                         .layout
                         .payload
@@ -156,12 +153,10 @@ impl Steps for DclThread {
                     for a in self.layout.payload {
                         self.ops.store(a, MAGIC);
                     }
-                    if self.fenced {
-                        // Release fence before publication (needed on
-                        // models weaker than TSO; rare path).
-                        self.ops
-                            .fence_at(init_site(self.tid), FenceRole::NonCritical);
-                    }
+                    // Release fence before publication (needed on
+                    // models weaker than TSO; rare path).
+                    self.ops
+                        .fence_at(init_site(self.tid), FenceRole::NonCritical);
                     self.ops.store(self.layout.initialized, 1);
                     self.initialized_by_me += 1;
                 }
@@ -200,14 +195,8 @@ pub fn init_site(tid: usize) -> FenceSite {
     FenceSite(2 * tid as u32 + 1)
 }
 
-/// Builds the DCL threads. `fenced = false` demonstrates TSO's natural
-/// safety of the idiom; `fenced = true` is the weaker-model placement.
-pub fn programs(
-    cfg: &MachineConfig,
-    fenced: bool,
-    iterations: u64,
-    seed: u64,
-) -> Vec<Box<dyn ThreadProgram>> {
+/// Builds the DCL threads with the weaker-model fence placement.
+pub fn programs(cfg: &MachineConfig, iterations: u64, seed: u64) -> Vec<Box<dyn ThreadProgram>> {
     let mut alloc = AddressAllocator::new(cfg.line_bytes, cfg.word_bytes);
     let layout = DclLayout::new(&mut alloc);
     let mut root = SimRng::new(seed ^ 0xDC1);
@@ -216,7 +205,6 @@ pub fn programs(
             program(DclThread::new(
                 tid,
                 layout.clone(),
-                fenced,
                 iterations,
                 root.fork(tid as u64),
             ))
@@ -234,6 +222,7 @@ pub fn tally(m: &asymfence::Machine) -> (u64, u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asymfence::cpu::insert::StripFences;
     use asymfence::prelude::*;
 
     fn run(design: FenceDesign, fenced: bool) -> (u64, u64, u64) {
@@ -243,8 +232,12 @@ mod tests {
             .seed(8)
             .build();
         let mut m = Machine::new(&cfg);
-        for p in programs(&cfg, fenced, 25, 8) {
-            m.add_thread(p);
+        for p in programs(&cfg, 25, 8) {
+            m.add_thread(if fenced {
+                p
+            } else {
+                Box::new(StripFences::new(p))
+            });
         }
         assert_eq!(m.run(500_000_000), RunOutcome::Finished, "{design}");
         tally(&m)

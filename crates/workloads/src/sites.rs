@@ -104,7 +104,7 @@ impl SiteBench {
                 litmus::store_buffering(Some((FenceRole::Critical, FenceRole::NonCritical))).0
             }
             SiteBench::Dekker => dekker::programs(cfg, DEKKER_ITERS, seed),
-            SiteBench::Dcl => dcl::programs(cfg, true, DCL_ITERS, seed),
+            SiteBench::Dcl => dcl::programs(cfg, DCL_ITERS, seed),
             SiteBench::Wsq => wsq::driver_programs(cfg, WSQ_ROUNDS, seed),
             SiteBench::Bakery => {
                 bakery::programs(cfg, bakery::RoleAssign::PriorityThread0, BAKERY_ITERS, seed)

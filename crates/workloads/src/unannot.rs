@@ -4,10 +4,8 @@
 //! This is the analyzer's input surface. Each [`InferredKernel`] builds
 //! the *same* protocol threads as its annotated counterpart — same
 //! layouts, same iteration counts, same seeds — but fence-free:
-//! kernels with annotated builders are wrapped in
-//! [`StripFences`], kernels with a
-//! fence toggle use it, and [`peterson`] is born
-//! unannotated. Cycle costs measured over an inferred placement are
+//! kernels with annotated builders are wrapped in [`StripFences`], and
+//! [`peterson`] is born unannotated. Cycle costs measured over an inferred placement are
 //! therefore directly comparable with the hand annotation's.
 
 use asymfence::cpu::insert::StripFences;
@@ -25,7 +23,7 @@ pub enum InferredKernel {
     Sb,
     /// Dekker mutual exclusion, fences stripped.
     Dekker,
-    /// Double-checked locking, built in its unfenced variant.
+    /// Double-checked locking, fences stripped.
     Dcl,
     /// THE work-stealing deque owner/thief driver, fences stripped.
     Wsq,
@@ -98,7 +96,7 @@ impl InferredKernel {
         match self {
             InferredKernel::Sb => litmus::store_buffering(None).0,
             InferredKernel::Dekker => strip(dekker::programs(cfg, DEKKER_ITERS, seed)),
-            InferredKernel::Dcl => dcl::programs(cfg, false, DCL_ITERS, seed),
+            InferredKernel::Dcl => strip(dcl::programs(cfg, DCL_ITERS, seed)),
             InferredKernel::Wsq => strip(wsq::driver_programs(cfg, WSQ_ROUNDS, seed)),
             InferredKernel::Bakery => strip(bakery::programs(
                 cfg,

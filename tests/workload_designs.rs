@@ -210,7 +210,7 @@ fn idioms_biased_and_dcl_work_under_asymmetric_fences() {
     assert_eq!(violations, 0);
 
     let mut m = Machine::new(&c);
-    for p in dcl::programs(&c, true, 10, 2) {
+    for p in dcl::programs(&c, 10, 2) {
         m.add_thread(p);
     }
     assert_eq!(m.run(2_000_000_000), RunOutcome::Finished);
