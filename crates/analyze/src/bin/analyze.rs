@@ -15,6 +15,5 @@
 //! ```
 
 fn main() {
-    let (runner, opts, exhaustive) = asymfence_synth::report::parse_cli("analyze", "placements");
-    asymfence_synth::run_cli(&runner, &opts, exhaustive, asymfence_analyze::report::run);
+    asymfence_synth::report::main("analyze", "placements", asymfence_analyze::report::run);
 }

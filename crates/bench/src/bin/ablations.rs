@@ -4,10 +4,8 @@
 //! handling lives in [`asymfence_bench::cli`] and all simulation in the
 //! shared run engine ([`asymfence_bench::runner`]).
 
-use asymfence_bench::{cli, figures, metrics, ReportSink};
+use asymfence_bench::{cli, figures};
 
 fn main() {
-    let (runner, opts) = cli::parse("ablations");
-    figures::ablations(&runner, &opts, &mut ReportSink::stdout());
-    metrics::write_if_requested(&runner, &opts);
+    cli::main("ablations", figures::ablations);
 }

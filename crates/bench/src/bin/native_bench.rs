@@ -5,8 +5,9 @@
 //! with `--crossval` joins the native ranking against the simulator's.
 
 use asymfence_bench::native;
+use asymfence_common::cli::{self, Args};
 
 fn main() {
-    let opts = native::parse_native_args();
+    let opts = cli::or_exit(native::parse_args(Args::from_env()), native::USAGE);
     std::process::exit(native::main_impl(&opts));
 }

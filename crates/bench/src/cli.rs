@@ -1,27 +1,17 @@
-//! Tiny in-repo argument parser shared by every bench binary.
-//!
-//! All nine harness binaries accept the same flags:
-//!
-//! ```text
-//! --jobs N          worker threads (default: ASF_JOBS, then all cores)
-//! --designs LIST    comma-separated designs to report (s+,ws+,sw+,w+,wee);
-//!                   S+ always runs as the normalization baseline
-//! --filter SUBSTR   only workloads whose name contains SUBSTR
-//! --quick           ~4x smaller pass (same as ASF_QUICK=1)
-//! --trace PATH      re-run one workload per design with the fence
-//!                   trace on and write Chrome-trace JSON to PATH
-//! --metrics PATH    write a harness-telemetry BenchSnapshot (JSON) to
-//!                   PATH when the run finishes (see `perfdiff`)
-//! --help            usage
-//! ```
+//! The flags every figure binary shares ([`usage`] lists them), and
+//! their `main`. `synth` and `analyze` add their own flags through
+//! [`parse_args`]; all scan with [`asymfence_common::cli`].
+
+use std::sync::Arc;
 
 use asymfence::prelude::FenceDesign;
+use asymfence_common::cli::{self, Args, Usage};
 use asymfence_common::par::Shard;
 use asymfence_common::telemetry;
 
-use crate::metrics::Collector;
+use crate::metrics::{self, Collector};
 use crate::runner::Runner;
-use crate::DESIGNS;
+use crate::{ReportSink, DESIGNS};
 
 /// Parsed shared options (everything but the worker count, which lives
 /// in the [`Runner`]).
@@ -81,63 +71,44 @@ impl Opts {
     }
 }
 
-/// Parses an argument list over the environment's defaults (`ASF_QUICK`,
-/// the shard variables). Returns `(explicit jobs, opts)` or an error
-/// message; `Ok(None)` for jobs means "use the environment".
-pub fn parse_args<I: IntoIterator<Item = String>>(
-    args: I,
-) -> Result<(Option<usize>, Opts), String> {
-    let args: Vec<String> = args.into_iter().collect();
+/// Parses a bench binary's command line over the environment's
+/// defaults (`ASF_QUICK`, the shard variables). Returns `(explicit jobs,
+/// opts)`; `None` for jobs means "use the environment". `extra` takes a
+/// binary's own flags: it sees every token the shared flags do not
+/// match, reads any value it needs from the scanner, and returns whether
+/// it took the token.
+pub fn parse_args(
+    mut args: Args,
+    mut extra: impl FnMut(&str, &mut Args) -> Result<bool, Usage>,
+) -> Result<(Option<usize>, Opts), Usage> {
     let mut jobs = None;
     let mut opts = Opts {
         quick: crate::quick(),
         shard: Shard::from_env()?,
         ..Default::default()
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--jobs" => {
-                jobs = Some(
-                    value(i)?
-                        .parse::<usize>()
-                        .map_err(|_| "--jobs needs a number".to_string())?,
-                );
-                i += 2;
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--jobs" => jobs = Some(args.parse(&flag)?),
             "--designs" => {
                 let mut ds = Vec::new();
-                for tok in value(i)?.split(',').filter(|t| !t.is_empty()) {
+                for tok in args.value(&flag)?.split(',').filter(|t| !t.is_empty()) {
                     ds.push(
                         FenceDesign::from_label(tok)
                             .ok_or_else(|| format!("unknown design `{tok}`"))?,
                     );
                 }
                 opts.designs = Some(ds);
-                i += 2;
             }
-            "--filter" => {
-                opts.filter = Some(value(i)?.clone());
-                i += 2;
+            "--filter" => opts.filter = Some(args.value(&flag)?),
+            "--trace" => opts.trace = Some(args.value(&flag)?),
+            "--metrics" => opts.metrics = Some(args.value(&flag)?),
+            "--quick" => opts.quick = true,
+            other => {
+                if !extra(other, &mut args)? {
+                    return Err(Usage::unknown(other));
+                }
             }
-            "--trace" => {
-                opts.trace = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--metrics" => {
-                opts.metrics = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--quick" => {
-                opts.quick = true;
-                i += 1;
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok((jobs, opts))
@@ -159,49 +130,40 @@ pub fn usage(bin: &str) -> String {
     )
 }
 
-/// Parses `std::env::args` for a bench binary, exiting with usage on
-/// `--help` or a bad flag. Returns the configured [`Runner`] and the
-/// shared [`Opts`].
-pub fn parse(bin: &str) -> (Runner, Opts) {
-    parse_or_exit(std::env::args().skip(1), &usage(bin))
+/// The [`Runner`] for parsed options: `jobs` workers, with a telemetry
+/// collector when `--metrics` is set.
+pub fn runner(jobs: Option<usize>, opts: &Opts) -> Runner {
+    let runner = Runner::new(jobs);
+    if opts.metrics.is_none() {
+        return runner;
+    }
+    runner.with_collector(Arc::new(
+        Collector::new(telemetry::deterministic_from_env()),
+    ))
 }
 
-/// Parses `args` ([`parse_args`]) and builds the [`Runner`], with a
-/// telemetry collector when `--metrics` is set. `--help` prints `usage`
-/// and exits 0; a bad flag prints the error and `usage` and exits 2.
-pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I, usage: &str) -> (Runner, Opts) {
-    match parse_args(args) {
-        Ok((jobs, opts)) => {
-            let mut runner = Runner::new(jobs);
-            if opts.metrics.is_some() {
-                runner = runner.with_collector(std::sync::Arc::new(Collector::new(
-                    telemetry::deterministic_from_env(),
-                )));
-            }
-            (runner, opts)
-        }
-        Err(msg) if msg.is_empty() => {
-            println!("{usage}");
-            std::process::exit(0);
-        }
-        Err(msg) => {
-            eprintln!("{msg}\n{usage}");
-            std::process::exit(2);
-        }
-    }
+/// A figure binary's `main`: parse the command line (usage exits per
+/// [`cli::or_exit`]), run `report` to stdout and `results/`, and write
+/// the `--metrics` snapshot if one was asked for (exit 2 if it cannot
+/// be written).
+pub fn main(bin: &str, report: fn(&Runner, &Opts, &mut ReportSink)) {
+    let (jobs, opts) = cli::or_exit(parse_args(Args::from_env(), |_, _| Ok(false)), &usage(bin));
+    let runner = runner(jobs, &opts);
+    report(&runner, &opts, &mut ReportSink::stdout());
+    metrics::write_if_requested(&runner, &opts).unwrap_or_else(|e| cli::fail(&e));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<(Option<usize>, Opts), Usage> {
+        parse_args(Args::new(v.iter().copied()), |_, _| Ok(false))
     }
 
     #[test]
     fn parses_all_flags() {
-        let (jobs, opts) = parse_args(s(&[
+        let (jobs, opts) = parse(&[
             "--jobs",
             "4",
             "--designs",
@@ -213,7 +175,7 @@ mod tests {
             "out.json",
             "--metrics",
             "metrics.json",
-        ]))
+        ])
         .unwrap();
         assert_eq!(jobs, Some(4));
         assert!(opts.quick);
@@ -232,7 +194,7 @@ mod tests {
 
     #[test]
     fn defaults_keep_everything() {
-        let (jobs, opts) = parse_args(s(&[])).unwrap();
+        let (jobs, opts) = parse(&[]).unwrap();
         assert_eq!(jobs, None);
         assert_eq!(opts.design_list(), DESIGNS.to_vec());
         assert!(opts.keep("anything"));
@@ -241,17 +203,22 @@ mod tests {
 
     #[test]
     fn rejects_unknown_and_malformed() {
-        assert!(parse_args(s(&["--frobnicate"])).is_err());
-        assert!(parse_args(s(&["--jobs", "many"])).is_err());
-        assert!(parse_args(s(&["--jobs"])).is_err());
-        assert!(parse_args(s(&["--designs", "q+"])).is_err());
-        assert!(parse_args(s(&["--trace"])).is_err());
-        assert!(parse_args(s(&["--metrics"])).is_err());
+        assert_eq!(
+            parse(&["--frobnicate"]).unwrap_err(),
+            Usage::Error("unknown argument `--frobnicate`".into())
+        );
+        assert!(parse(&["--jobs", "many"]).is_err());
+        assert!(parse(&["--jobs"]).is_err());
+        assert!(parse(&["--designs", "q+"]).is_err());
+        assert!(parse(&["--trace"]).is_err());
+        assert!(parse(&["--metrics"]).is_err());
+        assert_eq!(parse(&["--help"]).unwrap_err(), Usage::Help);
+        assert_eq!(parse(&["-h"]).unwrap_err(), Usage::Help);
     }
 
     #[test]
     fn trace_and_metrics_default_off() {
-        let (_, opts) = parse_args(s(&[])).unwrap();
+        let (_, opts) = parse(&[]).unwrap();
         assert!(opts.trace.is_none());
         assert!(opts.metrics.is_none());
         assert!(opts.shard.is_whole());

@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! A [`Collector`] rides along on a [`Runner`] (attached by
-//! `cli::parse` when `--metrics PATH` is given). While a batch runs, the
+//! `cli::runner` when `--metrics PATH` is given). While a batch runs, the
 //! runner measures each spec's wall-clock and executes it with the
 //! fence-lifecycle trace enabled (pure observation — results are
 //! bit-identical, pinned by `runner_determinism.rs`); after the batch
@@ -164,11 +164,6 @@ impl Collector {
         }
     }
 
-    /// Whether wall-clock fields are being masked.
-    pub fn deterministic(&self) -> bool {
-        self.deterministic
-    }
-
     /// Marks the start of a report section (figure name, `synth`, …):
     /// subsequent runs aggregate under it and the per-section phase
     /// timer switches over.
@@ -243,18 +238,8 @@ impl Collector {
         let mut s = self.state.lock().unwrap();
         s.phases.finish();
         let mut snap = BenchSnapshot::new(label);
-        snap.deterministic = self.deterministic;
+        snap.stamp_host(self.deterministic, &self.lifetime);
         snap.quick = quick;
-        snap.total_wall_ns = if self.deterministic {
-            0
-        } else {
-            self.lifetime.elapsed_ns()
-        };
-        snap.peak_rss_bytes = if self.deterministic {
-            0
-        } else {
-            telemetry::peak_rss_bytes().unwrap_or(0)
-        };
         // Pool counters depend on how specs land on worker threads, so
         // the deterministic mode masks them exactly like wall-clock.
         snap.pool = if self.deterministic {
@@ -308,36 +293,17 @@ impl Collector {
     }
 }
 
-/// Snapshot label derived from the `--metrics` path: the file stem
-/// (`results/bench_baseline.json` → `bench_baseline`).
-pub fn label_from_path(path: &str) -> String {
-    std::path::Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_string())
-}
-
 /// If `--metrics PATH` was given (so the runner carries a collector),
-/// snapshots it and writes the JSON to the path. Called once by each
-/// binary after its sections finish; a note goes to **stderr**, so
-/// figure stdout stays byte-identical with and without `--metrics`.
-///
-/// # Panics
-///
-/// Panics if the metrics file cannot be written (consistent with how
-/// the report layer treats `results/` CSVs).
-pub fn write_if_requested(runner: &Runner, opts: &Opts) {
+/// snapshots it and writes it to the path
+/// ([`BenchSnapshot::write_to`]). Called once by each binary after its
+/// sections finish. The error names the path and the OS error.
+pub fn write_if_requested(runner: &Runner, opts: &Opts) -> Result<(), String> {
     let (Some(path), Some(collector)) = (opts.metrics.as_deref(), runner.collector()) else {
-        return;
+        return Ok(());
     };
-    let snap = collector.snapshot(&label_from_path(path), opts.quick);
-    let json = snap.to_json();
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-    eprintln!(
-        "== metrics snapshot -> {path} ({} entries, {} sections) ==",
-        snap.entries.len(),
-        snap.sections().len()
-    );
+    collector
+        .snapshot(&telemetry::label_from_path(path), opts.quick)
+        .write_to(path)
 }
 
 #[cfg(test)]
@@ -449,15 +415,5 @@ mod tests {
         let sim = snap.entry("fig", "Counter", "S+").unwrap();
         assert_eq!(sim.sites_discovered, 0);
         assert!(!snap.to_json().contains("\"sites_discovered\": 0"));
-    }
-
-    #[test]
-    fn label_from_path_takes_the_stem() {
-        assert_eq!(
-            label_from_path("results/bench_baseline.json"),
-            "bench_baseline"
-        );
-        assert_eq!(label_from_path("out.json"), "out");
-        assert_eq!(label_from_path("snapshot"), "snapshot");
     }
 }

@@ -170,7 +170,9 @@ pub struct ShardSummary {
     pub torn_bytes: u64,
 }
 
-fn now_ms() -> u64 {
+/// Wall-clock now, in milliseconds since the Unix epoch (heartbeat
+/// stamps and `sweep status` ages).
+pub fn now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)

@@ -11,7 +11,8 @@
 //! simulator's nondeterminism points ([`schedule`]), a hermetic
 //! property-testing harness
 //! ([`prop`]), scoped worker-pool parallelism for deterministic sweeps
-//! ([`par`]) and the sharded-sweep run-ledger record layer ([`ledger`]).
+//! ([`par`]), the sharded-sweep run-ledger record layer ([`ledger`]) and
+//! the command-line scanner every binary parses with ([`cli`]).
 //!
 //! # Examples
 //!
@@ -29,6 +30,7 @@
 #![deny(missing_docs)]
 
 pub mod assign;
+pub mod cli;
 pub mod config;
 pub mod hash;
 pub mod ids;

@@ -19,6 +19,5 @@
 //! raise it with `--bound 2 --filter <kernel>` for a targeted proof.
 
 fn main() {
-    let (runner, opts, exhaustive) = asymfence_synth::report::parse_cli("synth", "assignments");
-    asymfence_synth::run_cli(&runner, &opts, exhaustive, asymfence_synth::report::run);
+    asymfence_synth::report::main("synth", "assignments", asymfence_synth::report::run);
 }

@@ -27,5 +27,4 @@ pub mod groups;
 pub mod report;
 pub mod search;
 
-pub use report::run_cli;
 pub use search::{Candidate, PaperVerdict, SynthResult, Synthesizer};
