@@ -15,6 +15,28 @@ if [ "$QUICK" != "quick" ]; then
   cargo build --release --offline --workspace
 fi
 
+echo "== command lines (every binary: bad flag exits 2, --help exits 0) =="
+# All binaries share one scanner and one usage exit; each call below
+# exits before simulating anything.
+if [ "$QUICK" != "quick" ]; then
+  for bin in ablations all_experiments fig08_cilk fig09_ustm_throughput \
+      fig10_ustm_breakdown fig11_stamp fig12_scalability litmus_matrix \
+      table4_characterization native_bench perfdiff sweep explore synth analyze; do
+    bad=(--frobnicate)
+    if [ "$bin" = sweep ]; then bad=(run --frobnicate); fi
+    rc=0; "target/release/$bin" "${bad[@]}" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" != 2 ]; then
+      echo "FATAL: $bin ${bad[*]} exited $rc, expected 2" >&2
+      exit 1
+    fi
+    rc=0; "target/release/$bin" --help > /dev/null 2>&1 || rc=$?
+    if [ "$rc" != 0 ]; then
+      echo "FATAL: $bin --help exited $rc, expected 0" >&2
+      exit 1
+    fi
+  done
+fi
+
 echo "== rustfmt (whole workspace) =="
 # Every crate and the root suite are rustfmt-clean and must stay so.
 cargo fmt --all -- --check
