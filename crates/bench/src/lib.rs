@@ -46,8 +46,9 @@ pub mod shard;
 pub mod status;
 pub mod trace;
 
+pub use asymfence_common::assign::SiteMask;
 pub use report::{f2, mean, pct, ReportSink, Table};
-pub use runner::{Knobs, LitmusCase, RunSpec, Runner, SiteMask, Workload};
+pub use runner::{Knobs, LitmusCase, RunSpec, Runner, Workload};
 
 /// Designs compared in the figures, in the paper's order.
 pub const DESIGNS: [FenceDesign; 4] = [

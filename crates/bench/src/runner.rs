@@ -24,7 +24,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use asymfence::prelude::*;
-use asymfence_common::assign::FenceAssignment;
 use asymfence_common::par;
 use asymfence_common::telemetry::{eta_ns, human_ns, Stopwatch};
 
@@ -162,49 +161,6 @@ impl Workload {
             Workload::Sites(bench) => bench.name().to_string(),
             Workload::Inferred { kernel, .. } => format!("infer-{}", kernel.name()),
         }
-    }
-}
-
-/// A per-site fence-strength assignment as plain `Copy` data: bit `i`
-/// of `weak` makes site `base + i` weak (wf), clear bits stay strong
-/// (sf). Hand-annotated benchmarks number their sites contiguously from
-/// 0 ([`SiteMask::hand`]); analyzer placements use the synthetic id
-/// range ([`SiteMask::synthetic`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteMask {
-    /// Number of fence sites covered by the mask.
-    pub n_sites: u32,
-    /// Bit `i` set ⇒ site `base + i` resolves to the design's weak fence.
-    pub weak: u64,
-    /// First site id the mask covers.
-    pub base: u32,
-}
-
-impl SiteMask {
-    /// A mask over the hand-annotated site range `0..n_sites`.
-    pub fn hand(n_sites: u32, weak: u64) -> Self {
-        SiteMask {
-            n_sites,
-            weak,
-            base: 0,
-        }
-    }
-
-    /// A mask over the analyzer's synthetic site range
-    /// (`SYNTHETIC_BASE..SYNTHETIC_BASE + n_sites`).
-    pub fn synthetic(n_sites: u32, weak: u64) -> Self {
-        SiteMask {
-            n_sites,
-            weak,
-            base: asymfence_common::assign::SYNTHETIC_BASE,
-        }
-    }
-
-    /// Expands the mask into the [`FenceAssignment`] the machine config
-    /// consumes.
-    pub fn to_assignment(self) -> FenceAssignment {
-        let sites: Vec<u32> = (self.base..self.base + self.n_sites).collect();
-        FenceAssignment::from_weak_mask(&sites, self.weak)
     }
 }
 
@@ -373,9 +329,7 @@ impl RunSpec {
             Workload::Cilk(_) | Workload::Ustm { .. } | Workload::Stamp(_) => {}
         }
         let mut cfg = self.knobs.apply(b).build();
-        if let Some(mask) = self.assignment {
-            cfg.fence_assignment = Some(mask.to_assignment());
-        }
+        cfg.fence_assignment = self.assignment;
         cfg
     }
 

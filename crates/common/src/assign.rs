@@ -1,40 +1,31 @@
-//! Per-site fence-strength assignments and synthesis search statistics.
+//! Per-site fence-strength overrides and synthesis search statistics.
 //!
-//! A [`FenceAssignment`] maps *static fence sites* (raw `u32` ids; the
-//! cpu crate wraps them in its `FenceSite` newtype) to an explicit
-//! [`SiteStrength`]. When a machine config carries an assignment, the
-//! core consults it at fence dispatch **before** the design's role-based
-//! mapping; sites the assignment does not mention — and every anonymous
-//! site — fall through to the role mapping, so an absent or empty
-//! assignment reproduces the pre-assignment behaviour bit for bit.
+//! A [`SiteMask`] covers a contiguous range of *static fence sites*
+//! (raw `u32` ids; the cpu crate wraps them in its `FenceSite` newtype)
+//! and says, bit by bit, which of them are weak. When a machine config
+//! carries a mask, the core consults it at fence dispatch **before** the
+//! design's role rule; sites outside the range — and every anonymous
+//! site — fall through to the role rule, so an absent mask reproduces
+//! the role-only behaviour bit for bit.
 //!
-//! Assignments are plain ordered data: two assignments compare equal
-//! independently of insertion order, and [`FenceAssignment::key`] is a
-//! stable 64-bit encoding used to memoize oracle/scoring runs in the
-//! synthesis engine.
+//! A mask is plain `Copy` data, so it also serves as the synthesis
+//! engine's memo key for scoring runs.
 //!
 //! # Examples
 //!
 //! ```
-//! use asymfence_common::assign::{FenceAssignment, SiteStrength};
+//! use asymfence_common::assign::SiteMask;
 //!
-//! let a = FenceAssignment::from_weak_mask(&[0, 1, 2], 0b101);
-//! assert_eq!(a.strength(0), Some(SiteStrength::Weak));
-//! assert_eq!(a.strength(1), Some(SiteStrength::Strong));
-//! assert_eq!(a.weak_count(), 2);
-//! assert_eq!(a.label(), "wf@{0,2}");
-//! assert_eq!(a.strength(9), None, "unmentioned sites use the role mapping");
+//! let m = SiteMask::hand(3, 0b101);
+//! assert_eq!(m.weak_at(0), Some(true));
+//! assert_eq!(m.weak_at(1), Some(false));
+//! assert_eq!(m.weak_at(9), None, "uncovered sites use the role rule");
 //! ```
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-use crate::rng::mix64;
 
 /// First site id reserved for *synthetic* fence sites — program points
 /// the analyzer invents when inferring a placement. Hand-annotated
-/// kernels number their sites from 0, so the two ranges never collide
-/// and an assignment can mention both.
+/// kernels number their sites from 0, so the two ranges never collide:
+/// a hand mask and a synthetic mask never cover the same site.
 pub const SYNTHETIC_BASE: u32 = 0x8000_0000;
 
 /// The `i`-th synthetic site id ([`SYNTHETIC_BASE`]` + i`).
@@ -53,125 +44,60 @@ pub const fn is_synthetic(site: u32) -> bool {
     site >= SYNTHETIC_BASE && site != u32::MAX
 }
 
-/// The hardware strength chosen for one fence site.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum SiteStrength {
-    /// Weak fence (`wf`): post-fence accesses may complete early.
-    Weak,
-    /// Conventional strong fence (`sf`).
-    Strong,
+/// A per-site fence-strength override as plain `Copy` data: bit `i` of
+/// `weak` makes site `base + i` weak (wf), a clear bit keeps it strong
+/// (sf). Hand-annotated benchmarks number their sites contiguously from
+/// 0 ([`SiteMask::hand`]); analyzer placements use the synthetic id
+/// range ([`SiteMask::synthetic`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SiteMask {
+    /// Number of fence sites covered by the mask (at most 64).
+    pub n_sites: u32,
+    /// Bit `i` set ⇒ site `base + i` resolves to the design's weak fence.
+    pub weak: u64,
+    /// First site id the mask covers.
+    pub base: u32,
 }
 
-impl SiteStrength {
-    /// The paper's short name (`wf` / `sf`).
-    pub fn label(self) -> &'static str {
-        match self {
-            SiteStrength::Weak => "wf",
-            SiteStrength::Strong => "sf",
-        }
-    }
-}
-
-/// An explicit per-site wf/sf choice overriding the role mapping.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FenceAssignment {
-    sites: BTreeMap<u32, SiteStrength>,
-}
-
-impl FenceAssignment {
-    /// An empty assignment (every fence falls through to role mapping).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds an assignment over `sites` from a weak-site bitmask:
-    /// bit `i` set makes `sites[i]` weak, clear makes it strong. Every
-    /// listed site is mentioned, so the role mapping never applies to it.
+impl SiteMask {
+    /// A mask over the hand-annotated site range `0..n_sites`.
     ///
     /// # Panics
     ///
-    /// Panics if more than 64 sites are given.
-    pub fn from_weak_mask(sites: &[u32], weak_mask: u64) -> Self {
-        assert!(sites.len() <= 64, "mask encoding holds at most 64 sites");
-        let mut a = FenceAssignment::new();
-        for (i, &s) in sites.iter().enumerate() {
-            let strength = if weak_mask & (1 << i) != 0 {
-                SiteStrength::Weak
-            } else {
-                SiteStrength::Strong
-            };
-            a.set(s, strength);
-        }
-        a
-    }
-
-    /// Sets (or overwrites) one site's strength.
-    pub fn set(&mut self, site: u32, strength: SiteStrength) {
-        self.sites.insert(site, strength);
-    }
-
-    /// Upgrades `site` to strong, inserting it if unmentioned. Never
-    /// weakens: a site already strong stays strong. Used by placement
-    /// repair loops that harden one site at a time.
-    pub fn strengthen(&mut self, site: u32) {
-        self.sites.insert(site, SiteStrength::Strong);
-    }
-
-    /// The strength assigned to `site`, if mentioned.
-    pub fn strength(&self, site: u32) -> Option<SiteStrength> {
-        self.sites.get(&site).copied()
-    }
-
-    /// Number of sites mentioned.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Whether no site is mentioned.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// Sites assigned weak, ascending.
-    pub fn weak_sites(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sites
-            .iter()
-            .filter(|(_, &s)| s == SiteStrength::Weak)
-            .map(|(&k, _)| k)
-    }
-
-    /// How many sites are weak.
-    pub fn weak_count(&self) -> usize {
-        self.weak_sites().count()
-    }
-
-    /// Stable 64-bit key of the full mapping (memoization of oracle and
-    /// scoring runs). Equal assignments always produce equal keys; the
-    /// key is a hash, so unequal assignments collide only with ordinary
-    /// 64-bit-hash probability.
-    pub fn key(&self) -> u64 {
-        let mut acc = 0xA51F_0000_2015_0000u64;
-        for (&site, &strength) in &self.sites {
-            acc = mix64(&[acc, site as u64, strength as u64 + 1]);
-        }
-        acc
-    }
-
-    /// Compact human label: `wf@{i,j}` for the weak sites (or `all-sf`
-    /// when every mentioned site is strong).
-    pub fn label(&self) -> String {
-        let weak: Vec<String> = self.weak_sites().map(|s| s.to_string()).collect();
-        if weak.is_empty() {
-            "all-sf".to_string()
-        } else {
-            format!("wf@{{{}}}", weak.join(","))
+    /// Panics if `n_sites` exceeds 64.
+    pub fn hand(n_sites: u32, weak: u64) -> Self {
+        assert!(n_sites <= 64, "a mask covers at most 64 sites");
+        SiteMask {
+            n_sites,
+            weak,
+            base: 0,
         }
     }
-}
 
-impl fmt::Display for FenceAssignment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+    /// A mask over the analyzer's synthetic site range
+    /// (`SYNTHETIC_BASE..SYNTHETIC_BASE + n_sites`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_sites` exceeds 64.
+    pub fn synthetic(n_sites: u32, weak: u64) -> Self {
+        SiteMask {
+            base: SYNTHETIC_BASE,
+            ..SiteMask::hand(n_sites, weak)
+        }
+    }
+
+    /// Whether `site` is weak (`Some(true)`) or strong (`Some(false)`)
+    /// under the mask, or `None` when the mask does not cover it.
+    pub fn weak_at(self, site: u32) -> Option<bool> {
+        let i = site.wrapping_sub(self.base);
+        (i < self.n_sites).then(|| (self.weak >> i) & 1 != 0)
+    }
+
+    /// The mask itself. Kept only for the benchmark package, which
+    /// still calls it; drop it with the next change to the benchmark.
+    pub fn to_assignment(self) -> SiteMask {
+        self
     }
 }
 
@@ -189,7 +115,7 @@ pub struct SearchStats {
     pub oracle_rejected: u64,
     /// Candidates that passed the oracle and were scored.
     pub valid: u64,
-    /// Evaluations answered from the assignment-hash memo table.
+    /// Evaluations answered from the score memo.
     pub memo_hits: u64,
     /// Serial-equivalent simulator runs charged (oracle + scoring).
     pub runs: u64,
@@ -212,47 +138,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_round_trips_and_orders() {
-        let sites = [4u32, 1, 9];
-        let a = FenceAssignment::from_weak_mask(&sites, 0b011);
-        assert_eq!(a.strength(4), Some(SiteStrength::Weak));
-        assert_eq!(a.strength(1), Some(SiteStrength::Weak));
-        assert_eq!(a.strength(9), Some(SiteStrength::Strong));
-        assert_eq!(a.weak_sites().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(a.label(), "wf@{1,4}");
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn equality_is_insertion_order_independent() {
-        let mut a = FenceAssignment::new();
-        a.set(3, SiteStrength::Weak);
-        a.set(1, SiteStrength::Strong);
-        let mut b = FenceAssignment::new();
-        b.set(1, SiteStrength::Strong);
-        b.set(3, SiteStrength::Weak);
-        assert_eq!(a, b);
-        assert_eq!(a.key(), b.key());
-    }
-
-    #[test]
-    fn keys_separate_distinct_assignments() {
-        let sites = [0u32, 1, 2, 3];
-        let keys: std::collections::HashSet<u64> = (0..16u64)
-            .map(|m| FenceAssignment::from_weak_mask(&sites, m).key())
-            .collect();
-        assert_eq!(keys.len(), 16, "16 masks must hash to 16 keys");
-    }
-
-    #[test]
-    fn all_strong_label() {
-        let a = FenceAssignment::from_weak_mask(&[7, 8], 0);
-        assert_eq!(a.label(), "all-sf");
-        assert_eq!(a.weak_count(), 0);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn synthetic_ids_are_disjoint_from_hand_sites() {
         assert!(is_synthetic(synthetic_site(0)));
         assert!(is_synthetic(synthetic_site(15)));
@@ -260,18 +145,6 @@ mod tests {
         assert!(!is_synthetic(63));
         assert!(!is_synthetic(u32::MAX), "anonymous site is not synthetic");
         assert_eq!(synthetic_site(3), SYNTHETIC_BASE + 3);
-    }
-
-    #[test]
-    fn strengthen_inserts_and_never_weakens() {
-        let mut a = FenceAssignment::from_weak_mask(&[0, 1], 0b01);
-        a.strengthen(0);
-        assert_eq!(a.strength(0), Some(SiteStrength::Strong));
-        a.strengthen(0);
-        assert_eq!(a.strength(0), Some(SiteStrength::Strong));
-        a.strengthen(9);
-        assert_eq!(a.strength(9), Some(SiteStrength::Strong));
-        assert_eq!(a.len(), 3);
     }
 
     #[test]

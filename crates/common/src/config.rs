@@ -57,19 +57,6 @@ impl FenceDesign {
         FenceDesign::Wee,
     ];
 
-    /// Whether fences tagged *critical* become weak fences under this design.
-    pub fn critical_is_weak(self) -> bool {
-        !matches!(self, FenceDesign::SPlus)
-    }
-
-    /// Whether fences tagged *non-critical* become weak fences too.
-    pub fn noncritical_is_weak(self) -> bool {
-        matches!(
-            self,
-            FenceDesign::WPlus | FenceDesign::Wee | FenceDesign::WfOnlyUnsafe
-        )
-    }
-
     /// Whether the Bypass Set records word-granularity addresses.
     pub fn fine_grain_bs(self) -> bool {
         matches!(self, FenceDesign::SwPlus)
@@ -252,11 +239,10 @@ pub struct MachineConfig {
     /// jitter from `perturb` (the default) or replay a scripted
     /// decision vector for bounded-exhaustive exploration.
     pub schedule: crate::schedule::SchedulePlan,
-    /// Explicit per-site fence-strength overrides
-    /// ([`crate::assign::FenceAssignment`]). `None` (the default) and an
-    /// empty assignment both leave every fence on the design's role
-    /// mapping, bit-for-bit.
-    pub fence_assignment: Option<crate::assign::FenceAssignment>,
+    /// An explicit per-site fence-strength override
+    /// ([`crate::assign::SiteMask`]). `None` (the default) leaves every
+    /// fence on the design's role rule.
+    pub fence_assignment: Option<crate::assign::SiteMask>,
 }
 
 impl Default for MachineConfig {
@@ -536,12 +522,6 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Installs explicit per-site fence-strength overrides.
-    pub fn fence_assignment(mut self, a: crate::assign::FenceAssignment) -> Self {
-        self.cfg.fence_assignment = Some(a);
-        self
-    }
-
     /// Applies an arbitrary mutation, for knobs without a dedicated setter.
     pub fn tweak(mut self, f: impl FnOnce(&mut MachineConfig)) -> Self {
         f(&mut self.cfg);
@@ -611,13 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn design_role_mapping() {
+    fn only_sw_plus_tracks_words() {
         use FenceDesign::*;
-        assert!(!SPlus.critical_is_weak());
-        assert!(WsPlus.critical_is_weak() && !WsPlus.noncritical_is_weak());
-        assert!(SwPlus.critical_is_weak() && !SwPlus.noncritical_is_weak());
-        assert!(WPlus.critical_is_weak() && WPlus.noncritical_is_weak());
-        assert!(Wee.noncritical_is_weak());
         assert!(SwPlus.fine_grain_bs());
         assert!(!WsPlus.fine_grain_bs());
     }

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use assign::{is_synthetic, synthetic_site, FenceAssignment, SearchStats, SiteStrength};
+pub use assign::{is_synthetic, synthetic_site, SearchStats, SiteMask};
 pub use config::{FenceDesign, MachineConfig, MachineConfigBuilder, Perturbation};
 pub use ids::{Addr, BankId, CoreId, Cycle, LineAddr, WordIdx};
 pub use placement::{PlacedFence, PlacedWindow, Placement, PlacementSpec, MAX_PLACED};

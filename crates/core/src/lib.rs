@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::machine::{Machine, RunOutcome};
     pub use crate::scv;
     pub use asymfence_coherence::RmwKind;
-    pub use asymfence_common::assign::{FenceAssignment, SearchStats, SiteStrength};
+    pub use asymfence_common::assign::{SearchStats, SiteMask};
     pub use asymfence_common::config::{
         FenceDesign, MachineConfig, MachineConfigBuilder, Perturbation,
     };

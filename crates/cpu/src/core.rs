@@ -26,7 +26,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use asymfence_coherence::{MemEvent, MemSystem, OrderMode, RmwKind, Token};
-use asymfence_common::assign::SiteStrength;
 use asymfence_common::config::{FenceDesign, MachineConfig};
 use asymfence_common::ids::{Addr, CoreId, Cycle, LineAddr};
 use asymfence_common::scvlog::ScvLog;
@@ -349,29 +348,20 @@ impl Core {
         (!self.wb.is_empty()).then_some(self.wb_stuck_since)
     }
 
-    fn resolve_fence(&self, role: FenceRole, site: FenceSite) -> HwFence {
-        // An explicit per-site assignment (synthesis engine) takes
-        // precedence over the design's role mapping; anonymous sites and
-        // unmentioned sites always fall through to the role mapping.
-        if !site.is_anon() {
-            if let Some(assign) = &self.cfg.fence_assignment {
-                if let Some(strength) = assign.strength(site.raw()) {
-                    return match strength {
-                        SiteStrength::Strong => HwFence::Strong,
-                        SiteStrength::Weak if self.design == FenceDesign::Wee => HwFence::WeeWeak,
-                        SiteStrength::Weak => HwFence::Weak,
-                    };
-                }
-            }
-        }
-        match self.design {
-            FenceDesign::SPlus => HwFence::Strong,
-            FenceDesign::WsPlus | FenceDesign::SwPlus => match role {
-                FenceRole::Critical => HwFence::Weak,
-                FenceRole::NonCritical => HwFence::Strong,
-            },
-            FenceDesign::WPlus | FenceDesign::WfOnlyUnsafe => HwFence::Weak,
-            FenceDesign::Wee => HwFence::WeeWeak,
+    /// The hardware fence for a fence of `role` at `site`: the per-site
+    /// mask's answer when it covers the site (anonymous sites are never
+    /// covered), else the role rule; a weak fence under Wee is Wee's own.
+    pub(crate) fn resolve_fence(&self, role: FenceRole, site: FenceSite) -> HwFence {
+        let weak = self
+            .cfg
+            .fence_assignment
+            .filter(|_| !site.is_anon())
+            .and_then(|mask| mask.weak_at(site.raw()))
+            .unwrap_or_else(|| role.is_weak_under(self.design));
+        match (weak, self.design) {
+            (false, _) => HwFence::Strong,
+            (true, FenceDesign::Wee) => HwFence::WeeWeak,
+            (true, _) => HwFence::Weak,
         }
     }
 

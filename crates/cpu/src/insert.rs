@@ -8,8 +8,8 @@
 //! window names as a store→load race against a *dirty* trigger line,
 //! injects `Instr::fence_at(site, …)` first and replays the load on the
 //! next fetch. Injected sites carry the analyzer's synthetic ids, so a
-//! per-site [`FenceAssignment`](asymfence_common::assign::FenceAssignment)
-//! steers their strength exactly like hand-annotated sites.
+//! per-site [`SiteMask`](asymfence_common::assign::SiteMask) steers
+//! their strength exactly like hand-annotated sites.
 //!
 //! [`StripFences`] is the inverse tool: it hides every fence an
 //! annotated builder emits, producing the unannotated view the analyzer
@@ -67,7 +67,7 @@ impl FencedProgram {
     /// matching a placed window in `spec` are preceded by a fence at
     /// the window's synthetic site. `line_bytes` must match the machine
     /// config the spec was computed for; `role` is the fence role used
-    /// when no assignment overrides the site.
+    /// when no mask overrides the site.
     pub fn new(
         inner: Box<dyn ThreadProgram>,
         thread: usize,

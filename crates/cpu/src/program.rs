@@ -18,14 +18,13 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use asymfence_coherence::RmwKind;
+use asymfence_common::config::FenceDesign;
 use asymfence_common::ids::Addr;
 
 /// Whether a fence sits on a performance-critical code path.
 ///
-/// Workloads tag fences with roles; the machine's
-/// [`FenceDesign`](asymfence_common::config::FenceDesign) maps roles to
-/// strong or weak hardware fences (e.g. WS+ maps `Critical` to a weak
-/// fence and `NonCritical` to a strong one).
+/// Workloads tag fences with roles; the machine's [`FenceDesign`] maps
+/// roles to strong or weak hardware fences by [`FenceRole::is_weak_under`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FenceRole {
     /// The hot thread of a fence group (work-stealing owner, STM reader).
@@ -34,24 +33,40 @@ pub enum FenceRole {
     NonCritical,
 }
 
+impl FenceRole {
+    /// The role rule: whether a fence of this role is weak (wf) under
+    /// `design`. S+ keeps every fence strong, WS+ and SW+ weaken only
+    /// critical fences, and W+, Wee and the unprotected design weaken
+    /// every fence. A per-site
+    /// [`SiteMask`](asymfence_common::assign::SiteMask) overrides it site
+    /// by site.
+    pub fn is_weak_under(self, design: FenceDesign) -> bool {
+        match design {
+            FenceDesign::SPlus => false,
+            FenceDesign::WsPlus | FenceDesign::SwPlus => self == FenceRole::Critical,
+            FenceDesign::WPlus | FenceDesign::Wee | FenceDesign::WfOnlyUnsafe => true,
+        }
+    }
+}
+
 /// Identity of one *static* fence site within a workload.
 ///
 /// Every dynamic execution of the same program-text fence carries the
 /// same site id, so a per-site
-/// [`FenceAssignment`](asymfence_common::assign::FenceAssignment) can
-/// override the role-based strength mapping fence by fence (the
-/// synthesis engine searches that space). Fences nobody needs to address
-/// use [`FenceSite::ANON`], which no assignment matches — role mapping
-/// remains the default and unannotated workloads behave exactly as
-/// before.
+/// [`SiteMask`](asymfence_common::assign::SiteMask) can override the
+/// role rule fence by fence (the synthesis engine searches that space).
+/// Fences nobody needs to address use [`FenceSite::ANON`], which no mask
+/// covers — the role rule remains the default and unannotated workloads
+/// behave exactly as before.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FenceSite(pub u32);
 
 impl FenceSite {
-    /// The anonymous site: never matched by an assignment.
+    /// The anonymous site: never covered by a mask.
     pub const ANON: FenceSite = FenceSite(u32::MAX);
 
-    /// Raw site id (the key used in assignment encodings).
+    /// Raw site id (the id a
+    /// [`SiteMask`](asymfence_common::assign::SiteMask) covers).
     pub const fn raw(self) -> u32 {
         self.0
     }
@@ -119,7 +134,7 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// An anonymous fence: strength comes from the design's role mapping.
+    /// An anonymous fence: strength comes from the design's role rule.
     pub const fn fence(role: FenceRole) -> Instr {
         Instr::Fence {
             role,
@@ -128,8 +143,8 @@ impl Instr {
     }
 
     /// A fence at an addressable site; a
-    /// [`FenceAssignment`](asymfence_common::assign::FenceAssignment) in
-    /// the machine config may override its strength.
+    /// [`SiteMask`](asymfence_common::assign::SiteMask) in the machine
+    /// config may override its strength.
     pub const fn fence_at(site: FenceSite, role: FenceRole) -> Instr {
         Instr::Fence { role, site }
     }

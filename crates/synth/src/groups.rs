@@ -201,16 +201,12 @@ pub fn structural_reject(
 }
 
 /// The paper's hand annotation as a weak-site mask for `design`: the
-/// role-to-strength mapping the simulator applies when no per-site
-/// assignment is installed.
+/// role rule ([`FenceRole::is_weak_under`](asymfence::prelude::FenceRole::is_weak_under))
+/// the simulator applies when no per-site mask is installed.
 pub fn paper_mask(sites: &[SiteSpec], design: FenceDesign) -> u64 {
     let mut mask = 0;
     for (i, s) in sites.iter().enumerate() {
-        let weak = match s.paper_role {
-            asymfence::prelude::FenceRole::Critical => design.critical_is_weak(),
-            asymfence::prelude::FenceRole::NonCritical => design.noncritical_is_weak(),
-        };
-        if weak {
+        if s.paper_role.is_weak_under(design) {
             mask |= 1 << i;
         }
     }

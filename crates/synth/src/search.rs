@@ -15,9 +15,9 @@
 //!    the runner's worker pool, order-preserving).
 //! 4. **Rank** deterministically: minimum `(cycles, mask)`.
 //!
-//! Scores are memoized by `(design, bench, FenceAssignment::key())`, so
-//! re-scoring the paper's own assignment (which the report always
-//! evaluates) is free when the search already visited its mask.
+//! Scores are memoized by `(design, bench, SiteMask)`, so searching a
+//! workload and design again on one [`Synthesizer`] re-scores nothing
+//! (the paper's own mask is read from the search's scores).
 //! Everything — including the charged [`SearchStats`] — is a pure
 //! function of the inputs, independent of `--jobs`.
 
@@ -58,8 +58,8 @@ impl Target {
     }
 
     /// The candidate mask over this target's site-id range. Hand and
-    /// inferred masks can never alias in the score memo: the assignment
-    /// key hashes the site ids, and the synthetic range is disjoint.
+    /// inferred masks can never alias in the score memo: their `base`
+    /// differs, since the synthetic range is disjoint.
     fn mask(self, n_sites: u32, weak: u64) -> SiteMask {
         match self {
             Target::Hand(_) => SiteMask::hand(n_sites, weak),
@@ -146,7 +146,7 @@ pub struct Synthesizer {
     /// seed budget; sharding both layers would skip seeds). Defaults to
     /// the whole space.
     pub shard: asymfence_common::par::Shard,
-    memo: HashMap<(FenceDesign, &'static str, u64), u64>,
+    memo: HashMap<(FenceDesign, &'static str, SiteMask), u64>,
 }
 
 impl Synthesizer {
@@ -212,10 +212,7 @@ impl Synthesizer {
         masks: &[u64],
         stats: &mut SearchStats,
     ) -> Vec<(u64, u64, bool)> {
-        let key = |mask: u64| {
-            let a = target.mask(n_sites, mask).to_assignment();
-            (design, target.name(), a.key())
-        };
+        let key = |mask: u64| (design, target.name(), target.mask(n_sites, mask));
         let fresh: Vec<u64> = masks
             .iter()
             .copied()

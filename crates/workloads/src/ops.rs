@@ -123,13 +123,14 @@ impl Ops {
         tag
     }
 
-    /// Emits an anonymous fence (strength from the design's role mapping).
+    /// Emits an anonymous fence (strength from the design's role rule).
     pub fn fence(&mut self, role: FenceRole) {
         self.queue.push_back(Instr::fence(role));
     }
 
     /// Emits a fence at an addressable static site, so a per-site
-    /// `FenceAssignment` in the machine config can override its strength.
+    /// [`SiteMask`](asymfence_common::assign::SiteMask) in the machine
+    /// config can override its strength.
     pub fn fence_at(&mut self, site: FenceSite, role: FenceRole) {
         self.queue.push_back(Instr::fence_at(site, role));
     }

@@ -98,15 +98,14 @@ fn sw_plus_store_bounce_livelock_stops_at_the_watchdog() {
     use asymfence_suite::workloads::sites::SiteBench;
     let bench = SiteBench::Dekker;
     let watchdog = 20_000;
-    let mut cfg = MachineConfig::builder()
+    let cfg = MachineConfig::builder()
         .cores(bench.cores())
         .fence_design(FenceDesign::SwPlus)
         .seed(0)
         .record_scv_log(true)
         .watchdog_cycles(watchdog)
+        .tweak(|c| c.fence_assignment = Some(SiteMask::hand(4, 0b101)))
         .build();
-    let sites: Vec<u32> = bench.sites(&cfg).iter().map(|s| s.site.raw()).collect();
-    cfg.fence_assignment = Some(FenceAssignment::from_weak_mask(&sites, 0b101));
     let mut m = Machine::new(&cfg);
     for p in bench.programs(&cfg, 0) {
         m.add_thread(p);
