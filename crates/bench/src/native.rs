@@ -353,8 +353,16 @@ pub fn parse_args(mut args: Args) -> Result<NativeOpts, Usage> {
     Ok(opts)
 }
 
-fn snapshot(rows: &[NativeRow], quick: bool, label: &str, since: &Stopwatch) -> BenchSnapshot {
-    let deterministic = telemetry::deterministic_from_env();
+/// The `--metrics` snapshot of a native run. `deterministic` masks the
+/// fields real threads make vary from run to run: wall clock and TLRW
+/// aborts (which depend on how the threads interleave).
+fn snapshot(
+    rows: &[NativeRow],
+    quick: bool,
+    label: &str,
+    since: &Stopwatch,
+    deterministic: bool,
+) -> BenchSnapshot {
     let mut snap = BenchSnapshot::new(label);
     snap.stamp_host(deterministic, since);
     snap.quick = quick;
@@ -363,8 +371,8 @@ fn snapshot(rows: &[NativeRow], quick: bool, label: &str, since: &Stopwatch) -> 
         let mut e = MetricEntry::new("native", row.kernel.name(), row.pair.name());
         e.runs = 1;
         e.ops = row.ops;
-        e.aborts = row.aborts;
         if !deterministic {
+            e.aborts = row.aborts;
             e.wall_ns = row.wall_ns;
             e.task_wall_min_ns = row.wall_ns;
             e.task_wall_max_ns = row.wall_ns;
@@ -479,7 +487,14 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
     }
 
     if let Some(path) = &opts.metrics {
-        let snap = snapshot(&rows, opts.quick, &label_from_path(path), &start);
+        let deterministic = telemetry::deterministic_from_env();
+        let snap = snapshot(
+            &rows,
+            opts.quick,
+            &label_from_path(path),
+            &start,
+            deterministic,
+        );
         if let Err(e) = snap.write_to(path) {
             eprintln!("{e}");
             return 2;
