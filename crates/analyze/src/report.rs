@@ -32,13 +32,14 @@ fn labels(placement: &Placement) -> Vec<&str> {
 /// Runs the full inference report into `sink`. With `exhaustive`
 /// carrying a reorder bound, every accepted assignment is a DPOR proof of
 /// SC up to that bound. Returns the merged search statistics
-/// (serial-equivalent, jobs-independent).
+/// (serial-equivalent, jobs-independent), or the error of a `--trace`
+/// that cannot be written.
 pub fn run(
     runner: &Runner,
     opts: &Opts,
     exhaustive: Option<usize>,
     sink: &mut ReportSink,
-) -> SearchStats {
+) -> Result<SearchStats, String> {
     runner.begin_section("analyze");
     // The shard partitions the kernel grid across fleet processes,
     // round-robin by position in the (already `--filter`ed) list. The
@@ -209,8 +210,8 @@ pub fn run(
     }
     sink.table("analyze_lowering", &c11);
 
-    search.finish(opts, &stats, sink, "inference");
-    stats
+    search.finish(opts, &stats, sink, "inference")?;
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -231,8 +232,8 @@ mod tests {
         let opts = quick_opts("sb");
         let mut a = ReportSink::capture();
         let mut b = ReportSink::capture();
-        let sa = run(&Runner::with_jobs(1).progress(false), &opts, None, &mut a);
-        let sb = run(&Runner::with_jobs(2).progress(false), &opts, None, &mut b);
+        let sa = run(&Runner::with_jobs(1).progress(false), &opts, None, &mut a).unwrap();
+        let sb = run(&Runner::with_jobs(2).progress(false), &opts, None, &mut b).unwrap();
         assert_eq!(a.captured(), b.captured());
         assert_eq!(a.csv("analyze_placements"), b.csv("analyze_placements"));
         assert_eq!(a.csv("analyze_assignments"), b.csv("analyze_assignments"));
@@ -248,7 +249,8 @@ mod tests {
             &opts,
             None,
             &mut sink,
-        );
+        )
+        .unwrap();
         assert!(
             sink.captured().contains("placement peterson: oracle-valid"),
             "{}",

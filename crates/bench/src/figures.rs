@@ -9,6 +9,7 @@
 //! decides *how*.
 
 use asymfence::prelude::{FenceDesign, FenceRole};
+use asymfence_common::cli as scan;
 use asymfence_workloads::cilk::CilkApp;
 use asymfence_workloads::stamp::StampApp;
 use asymfence_workloads::ustm::UstmBench;
@@ -22,10 +23,13 @@ use crate::{RunResult, SEED, USTM_WINDOW};
 const CORES: usize = 8;
 
 /// Runs a section's batch, then re-runs its representatives for
-/// `--trace` (a no-op without it).
+/// `--trace` (a no-op without it). A trace that cannot be written exits
+/// 2 here, with the path and the OS error: the figure functions keep
+/// the `fn(&Runner, &Opts, &mut ReportSink)` shape the benchmark calls,
+/// so they hand no error up to `main`.
 fn run(runner: &Runner, opts: &Opts, section: &str, specs: &[RunSpec]) -> Vec<RunResult> {
     let results = runner.run(specs);
-    crate::trace::maybe_emit(section, specs, opts);
+    crate::trace::maybe_emit(section, specs, opts).unwrap_or_else(|e| scan::fail(&e));
     results
 }
 
@@ -745,7 +749,7 @@ pub fn all(runner: &Runner, opts: &Opts, sink: &mut ReportSink) {
             trace: opts
                 .trace
                 .as_deref()
-                .map(|p| crate::trace::section_path(p, name)),
+                .map(|p| asymfence_common::trace::section_path(p, name)),
             ..opts.clone()
         };
         f(runner, &section_opts, sink);

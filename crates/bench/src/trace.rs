@@ -12,23 +12,12 @@
 //! an untraced one). Load the JSON at <https://ui.perfetto.dev>.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 use asymfence::prelude::{FenceClass, TraceSink};
+use asymfence_common::trace;
 
 use crate::cli::Opts;
 use crate::runner::RunSpec;
-
-/// Derives a per-section output path from the user's `--trace` path:
-/// `out.json` + `fig08_cilk` → `out-fig08_cilk.json`. Used by
-/// [`crate::figures::all`] so the sections don't overwrite each other;
-/// a single-figure binary writes to the path as given.
-pub fn section_path(path: &str, section: &str) -> String {
-    match path.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}-{section}.{ext}"),
-        _ => format!("{path}-{section}"),
-    }
-}
 
 /// One representative spec per design, in first-appearance order: the
 /// first spec of each distinct design in the grid. Deterministic, so the
@@ -94,18 +83,13 @@ pub fn histogram_report(label: &str, sink: &TraceSink) -> String {
 /// If `--trace` was given, re-runs one representative spec per design
 /// with tracing on, writes the combined Chrome-trace JSON to the path
 /// and the histogram report to stderr. No-op otherwise; never touches
-/// the figure's stdout.
-///
-/// # Panics
-///
-/// Panics if the trace file cannot be written (consistent with how the
-/// report layer treats `results/` CSVs).
-pub fn maybe_emit(section: &str, specs: &[RunSpec], opts: &Opts) {
+/// the figure's stdout. The error names the path and the OS error.
+pub fn maybe_emit(section: &str, specs: &[RunSpec], opts: &Opts) -> Result<(), String> {
     let Some(path) = opts.trace.as_deref() else {
-        return;
+        return Ok(());
     };
     if specs.is_empty() {
-        return;
+        return Ok(());
     }
     let reps = representatives(specs);
     let mut json = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -119,14 +103,12 @@ pub fn maybe_emit(section: &str, specs: &[RunSpec], opts: &Opts) {
         report.push_str(&histogram_report(&spec.label(), &sink));
     }
     json.push_str("\n]}\n");
-    let mut f = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
+    trace::write_json(path, &json)?;
     eprint!(
         "== fence trace: {section} -> {path} ({} designs) ==\n{report}",
         reps.len()
     );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -134,13 +116,6 @@ mod tests {
     use super::*;
     use asymfence::prelude::FenceDesign;
     use asymfence_workloads::cilk::CilkApp;
-
-    #[test]
-    fn section_path_suffixes_before_extension() {
-        assert_eq!(section_path("out.json", "fig08"), "out-fig08.json");
-        assert_eq!(section_path("trace", "fig08"), "trace-fig08");
-        assert_eq!(section_path(".json", "x"), ".json-x");
-    }
 
     #[test]
     fn representatives_take_first_spec_per_design() {

@@ -698,6 +698,25 @@ impl TraceSink {
     }
 }
 
+/// Writes Chrome-trace JSON ([`TraceSink::chrome_json`], or several
+/// sinks' [`TraceSink::chrome_events`] in one wrapper) to `path`: the
+/// one `--trace` writer of every binary. The error names the path and
+/// the OS error; `main` exits 2 with it.
+pub fn write_json(path: &str, json: &str) -> Result<(), String> {
+    std::fs::write(path, json).map_err(|e| format!("cannot write trace to {path}: {e}"))
+}
+
+/// Suffixes a `--trace` path per section, before its extension:
+/// `out.json` + `fig08_cilk` → `out-fig08_cilk.json`, so several traces
+/// from one run (figure sections, explored designs) don't overwrite each
+/// other.
+pub fn section_path(path: &str, section: &str) -> String {
+    match path.rsplit_once('.') {
+        Some((stem, ext)) if !stem.is_empty() => format!("{stem}-{section}.{ext}"),
+        _ => format!("{path}-{section}"),
+    }
+}
+
 /// Records a [`TraceEvent`] iff a sink is attached.
 ///
 /// `$sink` must evaluate to an `Option<&mut TraceSink>`; the event

@@ -11,6 +11,7 @@ use std::process::ExitCode;
 use asymfence::prelude::{FenceDesign, TraceSink};
 use asymfence_common::cli::{self as scan, Args, Usage};
 use asymfence_common::telemetry::{self, BenchSnapshot, MetricEntry, Stopwatch};
+use asymfence_common::trace;
 use asymfence_explore::{DporConfig, ExploreConfig, Explorer, Scenario, ALL_DESIGNS};
 
 fn parse_design(s: &str) -> Option<Vec<FenceDesign>> {
@@ -69,20 +70,16 @@ const USAGE: &str = "usage: explore --scenario <name|corpus> \
 
 /// Writes a failing run's trace next to `path`, suffixed with the
 /// design so `--design all` runs don't overwrite each other, and says
-/// where it went.
-fn write_trace(path: &str, design: FenceDesign, trace: Option<&TraceSink>) {
+/// where it went. The error names the path and the OS error.
+fn write_trace(path: &str, design: FenceDesign, trace: Option<&TraceSink>) -> Result<(), String> {
     let Some(sink) = trace else {
         eprintln!("minimized run left no trace (did not re-fail)");
-        return;
+        return Ok(());
     };
-    let p = match path.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}-{design:?}.{ext}"),
-        _ => format!("{path}-{design:?}"),
-    };
-    match std::fs::write(&p, sink.chrome_json()) {
-        Ok(()) => println!("fence trace written to {p}"),
-        Err(e) => eprintln!("cannot write trace to {path}: {e}"),
-    }
+    let p = trace::section_path(path, &format!("{design:?}"));
+    trace::write_json(&p, &sink.chrome_json())?;
+    println!("fence trace written to {p}");
+    Ok(())
 }
 
 /// A parsed `explore` command line.
@@ -136,12 +133,12 @@ fn parse(mut args: Args) -> Result<Cli, Usage> {
 }
 
 fn main() -> ExitCode {
-    run(&scan::or_exit(parse(Args::from_env()), USAGE))
+    run(&scan::or_exit(parse(Args::from_env()), USAGE)).unwrap_or_else(|e| scan::fail(&e))
 }
 
-/// Runs a parsed command line: exit 1 on a violation, 2 when the
-/// `--metrics` file cannot be written.
-fn run(cli: &Cli) -> ExitCode {
+/// Runs a parsed command line: exit 1 on a violation; the error of a
+/// `--trace` or `--metrics` file that cannot be written (`main` exits 2).
+fn run(cli: &Cli) -> Result<ExitCode, String> {
     let (scenarios, designs, cfg) = (&cli.scenarios, &cli.designs, cli.cfg);
     let corpus = scenarios.len() > 1;
 
@@ -200,7 +197,7 @@ fn run(cli: &Cli) -> ExitCode {
                     Some(cex) => {
                         println!("{label}{design:?}: VIOLATION, {stats}\n{cex}");
                         if let Some(path) = &cli.trace {
-                            write_trace(path, design, cex.trace.as_ref());
+                            write_trace(path, design, cex.trace.as_ref())?;
                         }
                         dirty = true;
                     }
@@ -217,7 +214,7 @@ fn run(cli: &Cli) -> ExitCode {
                         println!("{label}{design:?} seed {seed}: FAILED\n{f}");
                         if let Some(path) = &cli.trace {
                             let trace = ex.run_seed_traced(&sc, design, seed);
-                            write_trace(path, design, trace.as_ref());
+                            write_trace(path, design, trace.as_ref())?;
                         }
                         dirty = true;
                     }
@@ -238,7 +235,7 @@ fn run(cli: &Cli) -> ExitCode {
                         report.runs
                     );
                     if let Some(path) = &cli.trace {
-                        write_trace(path, design, cex.trace.as_ref());
+                        write_trace(path, design, cex.trace.as_ref())?;
                     }
                     dirty = true;
                 }
@@ -249,13 +246,13 @@ fn run(cli: &Cli) -> ExitCode {
         let mut snap = BenchSnapshot::new(&telemetry::label_from_path(path));
         snap.stamp_host(deterministic, &total);
         snap.entries = entries;
-        snap.write_to(path).unwrap_or_else(|e| scan::fail(&e));
+        snap.write_to(path)?;
     }
-    if dirty {
+    Ok(if dirty {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 #[cfg(test)]

@@ -79,8 +79,14 @@ impl Search {
 
     /// Closes a report: the `search: …` accounting line, then the
     /// decision trace written to `--trace`, announced on stderr as
-    /// `what`'s trace.
-    pub fn finish(self, opts: &Opts, stats: &SearchStats, sink: &mut ReportSink, what: &str) {
+    /// `what`'s trace. The error names the path and the OS error.
+    pub fn finish(
+        self,
+        opts: &Opts,
+        stats: &SearchStats,
+        sink: &mut ReportSink,
+        what: &str,
+    ) -> Result<(), String> {
         sink.line(format!(
             "search: {} enumerated, {} pruned structurally, {} oracle-rejected, {} valid, \
              {} memo hits, {} simulator runs",
@@ -92,13 +98,13 @@ impl Search {
             stats.runs
         ));
         if let (Some(path), Some(trace)) = (opts.trace.as_deref(), self.trace) {
-            std::fs::write(path, trace.chrome_json())
-                .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
+            asymfence_common::trace::write_json(path, &trace.chrome_json())?;
             eprintln!(
                 "== {what} trace -> {path} ({} decisions) ==",
                 trace.recorded()
             );
         }
+        Ok(())
     }
 }
 
@@ -134,13 +140,14 @@ pub fn result_cells(r: &SynthResult, labels: &[&str], paper_cycles: Option<u64>)
 /// carrying a reorder bound, survivors are validated by the DPOR walk
 /// instead of the perturbation sweep and every accepted assignment is a
 /// proof of SC up to that bound. Returns the merged search statistics
-/// (serial-equivalent, jobs-independent).
+/// (serial-equivalent, jobs-independent), or the error of a `--trace`
+/// that cannot be written.
 pub fn run(
     runner: &Runner,
     opts: &Opts,
     exhaustive: Option<usize>,
     sink: &mut ReportSink,
-) -> SearchStats {
+) -> Result<SearchStats, String> {
     runner.begin_section("synth");
     let benches: Vec<SiteBench> = SiteBench::ALL
         .into_iter()
@@ -250,8 +257,8 @@ pub fn run(
         }
         sink.blank();
     }
-    search.finish(opts, &stats, sink, "synthesis");
-    stats
+    search.finish(opts, &stats, sink, "synthesis")?;
+    Ok(stats)
 }
 
 /// Parses a search binary's command line: the shared bench flags plus
@@ -276,13 +283,13 @@ pub fn parse_args(args: Args) -> Result<(Option<usize>, Opts, Option<usize>), Us
 /// line ([`parse_args`]; `accepted` names what the binary accepts,
 /// "assignments" or "placements", in the usage text), run `report` to
 /// stdout and `results/`, and write the `--metrics` snapshot if one was
-/// asked for (exit 2 if it cannot be written). The scoring batches all
-/// flow through the runner, so the collector sees every charged
-/// simulator run.
+/// asked for (exit 2 if the `--trace` or `--metrics` file cannot be
+/// written). The scoring batches all flow through the runner, so the
+/// collector sees every charged simulator run.
 pub fn main(
     bin: &str,
     accepted: &str,
-    report: fn(&Runner, &Opts, Option<usize>, &mut ReportSink) -> SearchStats,
+    report: fn(&Runner, &Opts, Option<usize>, &mut ReportSink) -> Result<SearchStats, String>,
 ) {
     let usage = format!(
         "{}\n\
@@ -294,7 +301,8 @@ pub fn main(
     );
     let (jobs, opts, exhaustive) = scan::or_exit(parse_args(Args::from_env()), &usage);
     let runner = cli::runner(jobs, &opts);
-    report(&runner, &opts, exhaustive, &mut ReportSink::stdout());
+    report(&runner, &opts, exhaustive, &mut ReportSink::stdout())
+        .unwrap_or_else(|e| scan::fail(&e));
     asymfence_bench::metrics::write_if_requested(&runner, &opts).unwrap_or_else(|e| scan::fail(&e));
 }
 
@@ -348,8 +356,8 @@ mod tests {
         let opts = quick_opts("sb");
         let mut a = ReportSink::capture();
         let mut b = ReportSink::capture();
-        let sa = run(&Runner::with_jobs(1).progress(false), &opts, None, &mut a);
-        let sb = run(&Runner::with_jobs(2).progress(false), &opts, None, &mut b);
+        let sa = run(&Runner::with_jobs(1).progress(false), &opts, None, &mut a).unwrap();
+        let sb = run(&Runner::with_jobs(2).progress(false), &opts, None, &mut b).unwrap();
         assert_eq!(a.captured(), b.captured());
         assert_eq!(a.csv("synth_assignments"), b.csv("synth_assignments"));
         assert_eq!(sa, sb, "charged stats must be jobs-independent");
@@ -364,7 +372,8 @@ mod tests {
             &opts,
             None,
             &mut sink,
-        );
+        )
+        .unwrap();
         let csv = sink.csv("synth_assignments").unwrap();
         assert!(csv.contains("wsq,S+"));
         assert!(csv.contains("wsq,WS+"));
