@@ -564,6 +564,29 @@ mod tests {
         assert_eq!(parse(&["-h"]).unwrap_err(), Usage::Help);
     }
 
+    /// Two runs of one build differ in TLRW aborts (real threads
+    /// interleave differently), so a deterministic snapshot must not
+    /// record them: otherwise `perfdiff` breaches on identical code.
+    #[test]
+    fn deterministic_snapshots_mask_aborts() {
+        let row = |aborts| NativeRow {
+            kernel: NativeKernel::UstmRead,
+            pair: PairKind::Asymmetric,
+            ops: 100,
+            wall_ns: 5_000,
+            aborts,
+            violations: 0,
+        };
+        let since = Stopwatch::start();
+        let a = snapshot(&[row(2)], true, "a", &since, true);
+        let b = snapshot(&[row(0)], true, "b", &since, true);
+        let report = telemetry::diff(&a, &b, &telemetry::DiffOptions::default());
+        assert_eq!(report.compared, 1);
+        assert!(report.clean(), "{:?}", report.breaches);
+        let timed = snapshot(&[row(2)], true, "a", &since, false);
+        assert_eq!(timed.entries[0].aborts, 2, "real timing keeps the count");
+    }
+
     #[test]
     fn kernel_labels_are_stable() {
         for k in NativeKernel::ALL {

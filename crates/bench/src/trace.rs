@@ -145,6 +145,20 @@ mod tests {
     }
 
     #[test]
+    fn an_unwritable_trace_path_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("asf-no-fig-dir-{}", std::process::id()));
+        let path = dir.join("t.json").to_str().unwrap().to_string();
+        let opts = Opts {
+            trace: Some(path.clone()),
+            ..Default::default()
+        };
+        let specs = [RunSpec::cilk(CilkApp::Fib, FenceDesign::WsPlus, 2, 7)];
+        let err = maybe_emit("fig08_cilk", &specs, &opts).unwrap_err();
+        assert!(err.contains(&path), "{err}");
+        assert_eq!(maybe_emit("fig08_cilk", &specs, &Opts::default()), Ok(()));
+    }
+
+    #[test]
     fn traced_execution_matches_untraced() {
         let spec = RunSpec::cilk(CilkApp::Fib, FenceDesign::WPlus, 2, 7);
         let plain = spec.execute();

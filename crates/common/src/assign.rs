@@ -138,6 +138,34 @@ mod tests {
     use super::*;
 
     #[test]
+    fn weak_at_covers_the_mask_range_at_both_bases() {
+        for (m, base) in [
+            (SiteMask::hand(3, 0b101), 0),
+            (SiteMask::synthetic(3, 0b101), SYNTHETIC_BASE),
+        ] {
+            assert_eq!(m.base, base);
+            assert_eq!(m.weak_at(base), Some(true));
+            assert_eq!(m.weak_at(base + 1), Some(false));
+            assert_eq!(m.weak_at(base + 2), Some(true));
+            assert_eq!(m.weak_at(base + 3), None, "past the range");
+            assert_eq!(m.weak_at(base.wrapping_sub(1)), None, "below the range");
+        }
+        assert_eq!(SiteMask::hand(3, 0b111).weak_at(SYNTHETIC_BASE), None);
+        assert_eq!(SiteMask::synthetic(3, 0b111).weak_at(0), None);
+        assert_eq!(SiteMask::synthetic(3, 0b111).weak_at(u32::MAX), None);
+        let wide = SiteMask::hand(64, 1 << 63);
+        assert_eq!(wide.weak_at(63), Some(true));
+        assert_eq!(wide.weak_at(62), Some(false));
+        assert_eq!(wide.weak_at(64), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 sites")]
+    fn masks_cover_at_most_64_sites() {
+        SiteMask::synthetic(65, 0);
+    }
+
+    #[test]
     fn synthetic_ids_are_disjoint_from_hand_sites() {
         assert!(is_synthetic(synthetic_site(0)));
         assert!(is_synthetic(synthetic_site(15)));

@@ -920,6 +920,38 @@ mod tests {
     }
 
     #[test]
+    fn section_path_suffixes_before_extension() {
+        assert_eq!(section_path("out.json", "fig08"), "out-fig08.json");
+        assert_eq!(section_path("trace", "fig08"), "trace-fig08");
+        assert_eq!(section_path(".json", "x"), ".json-x");
+        assert_eq!(section_path("a.b/t.json", "WsPlus"), "a.b/t-WsPlus.json");
+    }
+
+    #[test]
+    fn write_json_to_an_unwritable_path_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("asf-no-trace-dir-{}", std::process::id()));
+        let path = dir.join("t.json");
+        let path = path.to_str().unwrap();
+        let err = write_json(path, "{}").unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot write trace to {path}: ")),
+            "{err}"
+        );
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn write_json_writes_the_bytes() {
+        let path = std::env::temp_dir().join(format!("asf-trace-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let json = TraceSink::new(FenceDesign::WsPlus).chrome_json();
+        write_json(path, &json).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(text, json);
+    }
+
+    #[test]
     fn chrome_json_is_loadable_shape() {
         let mut s = TraceSink::new(FenceDesign::Wee);
         s.record(ev(

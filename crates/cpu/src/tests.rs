@@ -684,3 +684,70 @@ fn wb_stuck_since_restarts_at_every_drain_event() {
     assert_eq!(starts.len(), 2, "buffer entry, then one StoreDone");
     assert!(starts[0] < starts[1]);
 }
+
+/// The one rule, pinned: the hardware fence `resolve_fence` picks for
+/// every design and role with no mask, with the site's bit set or
+/// clear, for a site outside the mask, and for an anonymous site (even
+/// under a mask whose range reaches the anonymous id).
+#[test]
+fn resolve_fence_takes_the_mask_then_the_role_rule() {
+    use crate::core::HwFence::{self, Strong, Weak, WeeWeak};
+    use crate::program::FenceSite;
+    use asymfence_common::assign::SiteMask;
+    use FenceDesign::*;
+
+    let resolve = |design, mask: Option<SiteMask>, role, site| {
+        let mut c = cfg(design);
+        c.fence_assignment = mask;
+        let idle = Box::new(ScriptProgram::new(vec![]).0);
+        Core::new(CoreId(0), &c, idle).resolve_fence(role, site)
+    };
+    let hand = Some(SiteMask::hand(2, 0b01));
+    let over_anon = Some(SiteMask {
+        n_sites: 2,
+        weak: 0b11,
+        base: u32::MAX - 1,
+    });
+    // (design, critical, non-critical, a weak fence)
+    let table: [(FenceDesign, HwFence, HwFence, HwFence); 6] = [
+        (SPlus, Strong, Strong, Weak),
+        (WsPlus, Weak, Strong, Weak),
+        (SwPlus, Weak, Strong, Weak),
+        (WPlus, Weak, Weak, Weak),
+        (Wee, WeeWeak, WeeWeak, WeeWeak),
+        (WfOnlyUnsafe, Weak, Weak, Weak),
+    ];
+    for (design, critical, noncritical, weak) in table {
+        for (role, by_role) in [
+            (FenceRole::Critical, critical),
+            (FenceRole::NonCritical, noncritical),
+        ] {
+            let case = format!("{design:?} {role:?}");
+            assert_eq!(
+                resolve(design, None, role, FenceSite(0)),
+                by_role,
+                "{case}: no mask"
+            );
+            assert_eq!(
+                resolve(design, hand, role, FenceSite(0)),
+                weak,
+                "{case}: bit set"
+            );
+            assert_eq!(
+                resolve(design, hand, role, FenceSite(1)),
+                Strong,
+                "{case}: bit clear"
+            );
+            assert_eq!(
+                resolve(design, hand, role, FenceSite(2)),
+                by_role,
+                "{case}: outside"
+            );
+            assert_eq!(
+                resolve(design, over_anon, role, FenceSite::ANON),
+                by_role,
+                "{case}: anonymous"
+            );
+        }
+    }
+}

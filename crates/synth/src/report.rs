@@ -364,6 +364,23 @@ mod tests {
     }
 
     #[test]
+    fn an_unwritable_trace_path_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("asf-no-synth-dir-{}", std::process::id()));
+        let path = dir.join("t.json").to_str().unwrap().to_string();
+        let opts = Opts {
+            trace: Some(path.clone()),
+            ..quick_opts("sb")
+        };
+        let search = Search::new(&Runner::with_jobs(1), &opts, None, Shard::whole());
+        let mut sink = ReportSink::capture();
+        let err = search
+            .finish(&opts, &SearchStats::default(), &mut sink, "synthesis")
+            .unwrap_err();
+        assert!(err.contains(&path), "{err}");
+        assert!(sink.captured().starts_with("search: 0 enumerated"));
+    }
+
+    #[test]
     fn report_covers_paper_and_synthesized_columns() {
         let opts = quick_opts("wsq");
         let mut sink = ReportSink::capture();
