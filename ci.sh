@@ -16,8 +16,8 @@ if [ "$QUICK" != "quick" ]; then
 fi
 
 echo "== command lines (every binary: bad flag exits 2, --help exits 0) =="
-# All binaries share one scanner and one usage exit; each call below
-# exits before simulating anything.
+# All binaries share one scanner and one usage exit; each call in the
+# loop exits before simulating anything.
 if [ "$QUICK" != "quick" ]; then
   for bin in ablations all_experiments fig08_cilk fig09_ustm_throughput \
       fig10_ustm_breakdown fig11_stamp fig12_scalability litmus_matrix \
@@ -35,6 +35,20 @@ if [ "$QUICK" != "quick" ]; then
       exit 1
     fi
   done
+  # An unwritable --trace path exits 2 (one small run each, in a scratch
+  # directory for the results/ CSVs: the trace is written after the
+  # section or search it records).
+  TRACE="$(mktemp -d)"
+  for cmd in "fig08_cilk --quick --filter fib --designs ws+" \
+      "synth --quick --filter sb --designs ws+"; do
+    rc=0; ( cd "$TRACE" && ASF_PROGRESS=0 "$OLDPWD"/target/release/$cmd \
+      --trace /nonexistent/t.json > /dev/null 2>&1 ) || rc=$?
+    if [ "$rc" != 2 ]; then
+      echo "FATAL: $cmd --trace /nonexistent/t.json exited $rc, expected 2" >&2
+      exit 1
+    fi
+  done
+  rm -rf "$TRACE"
 fi
 
 echo "== rustfmt (whole workspace) =="
