@@ -94,21 +94,22 @@ if [ "$QUICK" != "quick" ]; then
   target/release/perfdiff --check results/bench_baseline.json \
     "$SMOKE/j1/metrics.json"
 
-  echo "== throughput floor (quick grid, serial, >= 1.2M sim-cycles/s) =="
+  echo "== throughput floor (quick grid, serial, >= 1.8M sim-cycles/s) =="
   # Absolute kernel-speed gate: re-run the quick grid with real timing
   # (no deterministic masking) and require the event-driven kernel to
-  # sustain the floor. With --metrics the grid runs fence-traced, which
-  # costs ~25%: the post-refactor kernel measures ~1.7M cycles/s traced
-  # on the reference container, the pre-refactor lock-step kernel ~1.0M.
-  # 1.2M sits between the two, so a regression to per-cycle ticking or a
-  # hot-path allocation creep trips it while machine noise does not.
-  # Raise the floor when the kernel gets faster.
+  # sustain the floor. --metrics runs untraced (each machine folds its
+  # own fence tallies), so this is the plain kernel rate: 2.96-3.12M
+  # cycles/s in three standalone runs on a 2-vCPU shared VM, 2.52M here
+  # right after the test stage. 1.8M sits 30% below the latter, so a
+  # regression to per-cycle ticking or a hot-path allocation creep trips
+  # it while machine noise does not. Raise the floor with each measured
+  # win; never lower it.
   mkdir -p "$SMOKE/floor"
   ( cd "$SMOKE/floor" && \
     ASF_QUICK=1 ASF_JOBS=1 ASF_PROGRESS=0 \
       "$OLDPWD/target/release/all_experiments" --metrics metrics.json \
       > stdout.txt )
-  target/release/perfdiff --throughput-floor 1200000 "$SMOKE/floor/metrics.json"
+  target/release/perfdiff --throughput-floor 1800000 "$SMOKE/floor/metrics.json"
 fi
 
 echo "== sharded sweep (3 shards == single process, byte-for-byte) =="

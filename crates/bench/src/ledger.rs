@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use asymfence::prelude::{FenceClass, TraceSink};
+use asymfence::prelude::{FenceClass, FenceTally, TraceSink};
 use asymfence_common::ledger::{
     read_shard_log, CellRecord, ShardLog, SHARD_FILE_PREFIX, SHARD_FILE_SUFFIX,
 };
@@ -25,15 +25,29 @@ use crate::metrics::Collector;
 use crate::shard::{SweepCell, HEARTBEAT_CELLS};
 use crate::RunResult;
 
-/// Builds the durable [`CellRecord`] for one executed sweep cell. In
-/// deterministic mode the wall-clock is masked to 0 *at journal time*
-/// (mirroring `Collector::record`), so the ledger bytes themselves are
-/// reproducible.
+/// [`tallied_cell_record`] with the fence tallies read from a traced
+/// run's sink.
 pub fn cell_record(
     cell: &SweepCell,
     result: &RunResult,
     wall_ns: u64,
     sink: &TraceSink,
+    deterministic: bool,
+) -> CellRecord {
+    let tallies = FenceClass::ALL.map(|class| sink.tally(class).clone());
+    tallied_cell_record(cell, result, wall_ns, tallies, deterministic)
+}
+
+/// Builds the durable [`CellRecord`] for one executed sweep cell from
+/// its result and its fence tallies (in [`FenceClass::ALL`] order). In
+/// deterministic mode the wall-clock is masked to 0 *at journal time*
+/// (mirroring `Collector::record`), so the ledger bytes themselves are
+/// reproducible.
+pub fn tallied_cell_record(
+    cell: &SweepCell,
+    result: &RunResult,
+    wall_ns: u64,
+    tallies: [FenceTally; 3],
     deterministic: bool,
 ) -> CellRecord {
     CellRecord {
@@ -47,7 +61,7 @@ pub fn cell_record(
         scv: result.scv,
         wall_ns: if deterministic { 0 } else { wall_ns },
         stats: result.stats.clone(),
-        tallies: std::array::from_fn(|i| sink.tally(FenceClass::ALL[i]).clone()),
+        tallies,
     }
 }
 

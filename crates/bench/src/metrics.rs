@@ -3,12 +3,12 @@
 //!
 //! A [`Collector`] rides along on a [`Runner`] (attached by
 //! `cli::runner` when `--metrics PATH` is given). While a batch runs, the
-//! runner measures each spec's wall-clock and executes it with the
-//! fence-lifecycle trace enabled (pure observation — results are
-//! bit-identical, pinned by `runner_determinism.rs`); after the batch
-//! returns, the results are folded into the collector **serially in spec
-//! order**, so the accumulated state — entry order included — is
-//! deterministic at any worker count.
+//! runner measures each spec's wall-clock and harvests the per-class
+//! fence tallies every machine folds as it runs — untraced, so a
+//! `--metrics` run simulates at the speed of a plain one; after the
+//! batch returns, the results are folded into the collector **serially
+//! in spec order**, so the accumulated state — entry order included —
+//! is deterministic at any worker count.
 //!
 //! Cells aggregate per `(section, workload, design)`: simulation
 //! counters and [`FenceTally`] histograms merge exactly (associative
@@ -23,7 +23,7 @@
 
 use std::sync::Mutex;
 
-use asymfence::prelude::{FenceClass, TraceSink};
+use asymfence::prelude::FenceClass;
 use asymfence_common::ledger::CellRecord;
 use asymfence_common::telemetry::{
     self, BenchSnapshot, FenceLatencySummary, MetricEntry, PhaseTimer, Stopwatch,
@@ -173,9 +173,16 @@ impl Collector {
         s.phases.enter(name);
     }
 
-    /// Folds one executed spec into its `(section, workload, design)`
+    /// Folds one executed spec, with its fence tallies in
+    /// [`FenceClass::ALL`] order, into its `(section, workload, design)`
     /// cell. Called serially in spec order by [`Runner::run`].
-    pub fn record(&self, spec: &RunSpec, result: &RunResult, wall_ns: u64, sink: &TraceSink) {
+    pub fn record(
+        &self,
+        spec: &RunSpec,
+        result: &RunResult,
+        wall_ns: u64,
+        tallies: &[FenceTally; 3],
+    ) {
         let wall_ns = if self.deterministic { 0 } else { wall_ns };
         let mut s = self.state.lock().unwrap();
         let section = s.section.clone();
@@ -186,7 +193,7 @@ impl Collector {
                 result.commits,
                 result.aborts,
                 &result.stats,
-                FenceClass::ALL.map(|class| sink.tally(class)),
+                tallies.each_ref(),
             );
     }
 
@@ -317,7 +324,8 @@ mod tests {
         for spec in specs {
             let t = Stopwatch::start();
             let (result, sink) = spec.execute_traced();
-            collector.record(spec, &result, t.elapsed_ns(), &sink);
+            let tallies = FenceClass::ALL.map(|class| sink.tally(class).clone());
+            collector.record(spec, &result, t.elapsed_ns(), &tallies);
         }
     }
 

@@ -562,53 +562,38 @@ impl Runner {
 
     /// Runs every spec, fanning out over the worker pool; results come
     /// back in spec order, so downstream table/CSV emission is identical
-    /// no matter the worker count. Each worker builds its own `Machine`
-    /// per spec — no state is shared between runs.
+    /// no matter the worker count. Each worker re-arms its pooled
+    /// `Machine` per spec — no state is shared between runs.
     ///
-    /// With a collector attached, specs execute with the fence trace on
-    /// (pure observation — identical results, pinned by
-    /// `runner_determinism.rs`) and are folded into the collector
-    /// *serially in spec order* after the fan-out returns, so the
-    /// telemetry is deterministic at any worker count too.
+    /// Runs are untraced. With a collector attached, each run's
+    /// wall-clock, counters and fence tallies (which every machine folds
+    /// as it runs) go into the collector *serially in spec order* after
+    /// the fan-out returns, so the telemetry is deterministic at any
+    /// worker count too.
     pub fn run(&self, specs: &[RunSpec]) -> Vec<RunResult> {
-        let outs = self.run_inner(specs, self.collector.is_some());
+        let outs = self.run_tallied(specs);
         if let Some(collector) = &self.collector {
-            for (spec, (result, wall_ns, sink)) in specs.iter().zip(&outs) {
-                let sink = sink.as_ref().expect("collecting => traced");
-                collector.record(spec, result, *wall_ns, sink);
+            for (spec, (result, wall_ns, tallies)) in specs.iter().zip(&outs) {
+                collector.record(spec, result, *wall_ns, tallies);
             }
         }
         outs.into_iter().map(|(result, _, _)| result).collect()
     }
 
-    /// Runs every spec with the fence trace enabled and returns each
-    /// spec's `(result, wall_ns, trace)` in spec order — the raw
-    /// material the sweep journals as ledger cell records. Bypasses the
-    /// collector: a sharded sweep aggregates by merging the ledger, not
-    /// in-process.
-    pub fn run_traced(&self, specs: &[RunSpec]) -> Vec<(RunResult, u64, TraceSink)> {
-        self.run_inner(specs, true)
-            .into_iter()
-            .map(|(result, wall_ns, sink)| (result, wall_ns, sink.expect("traced")))
-            .collect()
-    }
-
-    fn run_inner(
-        &self,
-        specs: &[RunSpec],
-        traced: bool,
-    ) -> Vec<(RunResult, u64, Option<TraceSink>)> {
+    /// Runs every spec as [`Runner::run`] does and returns each spec's
+    /// `(result, wall_ns, fence tallies)` in spec order, bypassing the
+    /// collector — the raw material the sweep journals as ledger cell
+    /// records (a sharded sweep aggregates by merging the ledger, not
+    /// in-process). The tallies are in [`FenceClass::ALL`] order.
+    pub(crate) fn run_tallied(&self, specs: &[RunSpec]) -> Vec<(RunResult, u64, [FenceTally; 3])> {
         let total = specs.len();
         let done = AtomicUsize::new(0);
         let batch = Stopwatch::start();
         par::par_map(self.jobs, specs, |_, spec| {
             let t0 = Instant::now();
-            let (result, sink) = if traced {
-                let (result, sink) = spec.execute_traced();
-                (result, Some(sink))
-            } else {
-                (spec.execute(), None)
-            };
+            let (result, tallies) = crate::pool::with_machine(spec.config(), |m| {
+                (spec.run_machine(m), m.fence_book().tallies().clone())
+            });
             let wall_ns = t0.elapsed().as_nanos() as u64;
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if self.progress {
@@ -627,7 +612,7 @@ impl Runner {
                     )
                 );
             }
-            (result, wall_ns, sink)
+            (result, wall_ns, tallies)
         })
     }
 }
@@ -686,24 +671,51 @@ mod tests {
         );
     }
 
+    /// The fence tallies the untraced path harvests — what every sweep
+    /// cell journals and `--metrics` folds — equal the trace's exactly,
+    /// on every quick-grid cell under all five designs. The set must
+    /// exercise every pairing rule: a W+ rollback, a Wee demotion and a
+    /// store bounce.
     #[test]
-    fn run_traced_matches_run_results() {
-        let specs = vec![
-            RunSpec::cilk(CilkApp::Fib, FenceDesign::SPlus, 2, 7),
-            RunSpec::ustm(UstmBench::Counter, FenceDesign::WsPlus, 2, 7, 40_000),
-        ];
-        let runner = Runner::with_jobs(2).progress(false);
-        let plain = runner.run(&specs);
-        let traced = runner.run_traced(&specs);
-        assert_eq!(traced.len(), plain.len());
-        for ((result, _, sink), p) in traced.iter().zip(&plain) {
-            assert_eq!(result.cycles, p.cycles);
-            assert_eq!(result.stats, p.stats);
-            assert!(
-                FenceClass::ALL.iter().any(|c| sink.tally(*c).issued > 0),
-                "traced run carries fence tallies"
-            );
+    fn untraced_tallies_match_the_trace() {
+        let mut specs: Vec<RunSpec> = Vec::new();
+        for cell in crate::shard::grid(true) {
+            for design in [
+                FenceDesign::SPlus,
+                FenceDesign::WsPlus,
+                FenceDesign::SwPlus,
+                FenceDesign::WPlus,
+                FenceDesign::Wee,
+            ] {
+                let spec = RunSpec {
+                    design,
+                    ..cell.spec
+                };
+                if !specs.contains(&spec) {
+                    specs.push(spec);
+                }
+            }
         }
+        let outs = Runner::with_jobs(2).progress(false).run_tallied(&specs);
+        assert_eq!(outs.len(), specs.len());
+        let (mut rollbacks, mut demotions, mut bounces) = (0, 0, 0);
+        for (spec, (result, _, tallies)) in specs.iter().zip(&outs) {
+            let (traced, sink) = spec.execute_traced();
+            assert_eq!(result.cycles, traced.cycles, "{}", spec.label());
+            assert_eq!(result.stats, traced.stats, "{}", spec.label());
+            for (class, tally) in FenceClass::ALL.iter().zip(tallies) {
+                assert_eq!(tally, sink.tally(*class), "{} {class:?}", spec.label());
+                bounces += tally.bounces;
+                match spec.design {
+                    FenceDesign::WPlus => rollbacks += tally.rolled_back,
+                    FenceDesign::Wee => demotions += tally.demoted,
+                    _ => {}
+                }
+            }
+        }
+        assert!(rollbacks > 0, "no W+ rollback in the set");
+        assert!(demotions > 0, "no Wee demotion in the set");
+        assert!(bounces > 0, "no attributed store bounce in the set");
     }
 
     #[test]

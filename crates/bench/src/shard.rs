@@ -11,9 +11,10 @@
 //! [`run_shard`] is the per-process loop: recover/truncate this shard's
 //! ledger file, replay it to learn which owned cells are already
 //! durable, append a [`ClaimRecord`], then execute the remaining cells
-//! in index order through [`Runner::run_traced`] in small chunks —
-//! journaling a [`CellRecord`](asymfence_common::ledger::CellRecord)
-//! per cell and a [`HeartbeatRecord`] per chunk. With progress lines on,
+//! in index order through the [`Runner`] in small chunks — untraced,
+//! since every machine folds its own fence tallies — journaling a
+//! [`CellRecord`](asymfence_common::ledger::CellRecord) per cell and a
+//! [`HeartbeatRecord`] per chunk. With progress lines on,
 //! each heartbeat is followed by the `sweep status` fleet footer, read
 //! from every shard's ledger. A SIGKILL at *any* byte
 //! boundary loses at most the un-journaled cells of the current chunk;
@@ -33,7 +34,7 @@ use asymfence_workloads::cilk::CilkApp;
 use asymfence_workloads::sites::SiteBench;
 use asymfence_workloads::ustm::UstmBench;
 
-use crate::ledger::cell_record;
+use crate::ledger::tallied_cell_record;
 use crate::runner::{progress_from_env, LitmusCase, RunSpec, Runner};
 use crate::status;
 use crate::{DESIGNS, SEED, USTM_WINDOW};
@@ -262,9 +263,9 @@ pub fn run_shard(
 
     for batch in pending.chunks(chunk) {
         let specs: Vec<RunSpec> = batch.iter().map(|c| c.spec).collect();
-        let outs = runner.run_traced(&specs);
-        for (cell, (result, wall_ns, sink)) in batch.iter().zip(&outs) {
-            let rec = cell_record(cell, result, *wall_ns, sink, deterministic);
+        let outs = runner.run_tallied(&specs);
+        for (cell, (result, wall_ns, tallies)) in batch.iter().zip(outs) {
+            let rec = tallied_cell_record(cell, &result, wall_ns, tallies, deterministic);
             sim_cycles += rec.cycles;
             append_record(&mut file, &Record::Cell(Box::new(rec)))?;
             done += 1;

@@ -9,32 +9,42 @@
 //! workload issues stores striped over a few per-core private lines:
 //! load MSHRs, request parking and trace/SCV logging are off the code
 //! path by construction, which is exactly the steady-state profile the
-//! pool optimizes (see `DESIGN.md` §5g).
+//! pool optimizes (see `DESIGN.md` §5g). The fenced variant adds a fence
+//! every [`FENCE_EVERY`] stores, so the always-on fence book (issue,
+//! complete, tally) runs in the window too.
 //!
-//! This file holds a single test on purpose: a sibling test running
-//! concurrently would allocate while the counter is armed.
+//! The switch and the counters are per thread, so only the armed test's
+//! own allocations count and the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use asymfence::cpu::program::{Fetch, Instr, ThreadProgram};
 use asymfence::prelude::*;
 use asymfence_common::config::MachineConfig;
 use asymfence_common::ids::Addr;
 
-/// System allocator wrapper that counts (de)allocations while armed.
+/// System allocator wrapper that counts (re)allocations on an armed
+/// thread.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(counter: &'static LocalKey<Cell<u64>>) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = counter.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
@@ -43,9 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(&REALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,23 +61,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Stores striped over `LINES` private lines, then done. Heap-free in
-/// `fetch`/`deliver`, so every counted allocation belongs to the
+/// Stores striped over `LINES` private lines, optionally with a fence
+/// of one role after every [`FENCE_EVERY`] stores, then done. Heap-free
+/// in `fetch`/`deliver`, so every counted allocation belongs to the
 /// simulator.
 #[derive(Clone, Copy)]
 struct StripeStores {
     base: u64,
     line_bytes: u64,
     remaining: u64,
+    fence: Option<FenceRole>,
+    since_fence: u64,
 }
 
 const LINES: u64 = 8;
+
+/// Stores between two fences in the fenced workload.
+const FENCE_EVERY: u64 = 8;
 
 impl ThreadProgram for StripeStores {
     fn fetch(&mut self) -> Fetch {
         if self.remaining == 0 {
             return Fetch::Done;
         }
+        if let Some(role) = self.fence {
+            if self.since_fence == FENCE_EVERY {
+                self.since_fence = 0;
+                return Fetch::Instr(Instr::fence(role));
+            }
+        }
+        self.since_fence += 1;
         self.remaining -= 1;
         let line = self.remaining % LINES;
         Fetch::Instr(Instr::Store {
@@ -89,61 +110,101 @@ impl ThreadProgram for StripeStores {
     }
 }
 
-fn programs(cfg: &MachineConfig) -> Vec<Box<dyn ThreadProgram>> {
+/// One striped-store program per core; with `fenced`, core 0's fences
+/// are critical and every other core's non-critical.
+fn programs(cfg: &MachineConfig, fenced: bool) -> Vec<Box<dyn ThreadProgram>> {
     (0..cfg.num_cores)
         .map(|core| {
+            let role = if core == 0 {
+                FenceRole::Critical
+            } else {
+                FenceRole::NonCritical
+            };
             Box::new(StripeStores {
                 // Disjoint per-core regions: no sharing, no parking.
                 base: 0x1_0000 * (core as u64 + 1),
                 line_bytes: cfg.line_bytes,
                 remaining: 4096,
+                fence: fenced.then_some(role),
+                since_fence: 0,
             }) as Box<dyn ThreadProgram>
         })
         .collect()
 }
 
-#[test]
-fn pooled_reset_and_run_is_allocation_free() {
+/// Warms a two-core machine under `design`, then counts the heap calls
+/// of one reset + install + run: `(allocations, reallocations)`.
+fn steady_state_heap_calls(design: FenceDesign, fenced: bool) -> (u64, u64) {
     let cfg = Arc::new(
         MachineConfig::builder()
             .cores(2)
-            .fence_design(FenceDesign::SPlus)
+            .fence_design(design)
             .seed(1)
             .build(),
     );
 
     // Warm-up: builds the machine and grows every container (heaps,
-    // maps, cache arrays, write-buffer slabs) to its steady-state
-    // capacity. Allocations here are expected and uncounted.
+    // maps, cache arrays, write-buffer slabs, the fence book's open
+    // lists) to its steady-state capacity. Allocations here are
+    // expected and uncounted.
     let mut m = Machine::new_shared(Arc::clone(&cfg));
-    for p in programs(&cfg) {
+    for p in programs(&cfg, fenced) {
         m.add_thread(p);
     }
     let warm_outcome = m.run(u64::MAX);
-    assert_eq!(warm_outcome, RunOutcome::Finished);
+    assert_eq!(warm_outcome, RunOutcome::Finished, "{design:?}");
     let warm_cycles = m.now();
+    let warm_tallies = m.fence_book().tallies().clone();
 
     // Prebuild the second run's thread programs outside the window (the
     // boxes themselves allocate).
-    let progs = programs(&cfg);
+    let progs = programs(&cfg, fenced);
 
     // Steady state: reset + install + run, with the counter armed.
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    REALLOCS.set(0);
+    ARMED.set(true);
     let reused = m.reset(&cfg);
     for p in progs {
         m.add_thread(p);
     }
     let outcome = m.run(u64::MAX);
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
 
     assert!(reused, "same shape must re-arm in place, not rebuild");
-    assert_eq!(outcome, RunOutcome::Finished);
+    assert_eq!(outcome, RunOutcome::Finished, "{design:?}");
     assert_eq!(m.now(), warm_cycles, "reset must reproduce the run exactly");
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        (allocs, reallocs),
+        m.fence_book().tallies(),
+        &warm_tallies,
+        "reset must clear the fence book"
+    );
+    let issued: u64 = warm_tallies.iter().map(|t| t.issued).sum();
+    assert_eq!(issued > 0, fenced, "{design:?}: fences issued {issued}");
+    (ALLOCS.get(), REALLOCS.get())
+}
+
+#[test]
+fn pooled_reset_and_run_is_allocation_free() {
+    assert_eq!(
+        steady_state_heap_calls(FenceDesign::SPlus, false),
         (0, 0),
         "steady-state pooled run must not touch the heap"
+    );
+}
+
+/// Fenced runs fold every fence into the machine's fence book; that
+/// must not touch the heap either. W+ (one program snapshot per
+/// checkpoint) and Wee (the Pending Set is collected per fence) still
+/// allocate per fence and stay out of this test.
+#[test]
+fn fenced_pooled_runs_are_allocation_free() {
+    let got: Vec<_> = [FenceDesign::SPlus, FenceDesign::WsPlus, FenceDesign::SwPlus]
+        .into_iter()
+        .map(|design| (design, steady_state_heap_calls(design, true)))
+        .collect();
+    assert!(
+        got.iter().all(|(_, calls)| *calls == (0, 0)),
+        "steady-state fenced runs must not touch the heap: {got:?}"
     );
 }

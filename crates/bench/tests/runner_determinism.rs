@@ -158,9 +158,8 @@ fn metrics_snapshot_bytes_are_identical_at_any_worker_count() {
 }
 
 /// Collection is pure observation: attaching a collector to the runner
-/// leaves the figure's report bytes untouched (the collector re-routes
-/// execution through `execute_traced`, which is pinned elsewhere to
-/// return identical results).
+/// leaves the figure's report bytes untouched (the collector only reads
+/// the fence tallies every machine folds as it runs).
 #[test]
 fn collected_figure_output_is_identical_to_uncollected() {
     let opts = Opts::default();

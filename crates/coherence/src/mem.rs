@@ -17,7 +17,7 @@ use asymfence_common::hash::{FxBuildHasher, FxHashMap};
 use asymfence_common::ids::{Addr, BankId, CoreId, Cycle, LineAddr};
 use asymfence_common::schedule::{ChoiceKind, ChoicePoint, ScheduleOracle, ScheduleRecording};
 use asymfence_common::stats::TrafficStats;
-use asymfence_common::trace::{TraceKind, TraceSink};
+use asymfence_common::trace::{FenceBook, TraceEvent, TraceKind, TraceSink};
 use asymfence_common::trace_event;
 use asymfence_noc::{Mesh, Network};
 
@@ -188,6 +188,10 @@ pub struct MemSystem {
     /// from `MachineConfig::schedule`; `None` when the machine runs on
     /// natural time (seeded plan with an inactive perturbation).
     oracle: Option<Box<dyn ScheduleOracle>>,
+    /// Fence-episode pairing and the per-class fence tallies, folded
+    /// on every run whether or not a trace is recording. Pure
+    /// observation — never read back by the protocol.
+    fences: FenceBook,
     /// Fence-lifecycle trace sink; `None` unless `record_trace` is set.
     /// Pure observation — never read back by the protocol.
     trace: Option<TraceSink>,
@@ -246,6 +250,7 @@ impl MemSystem {
                 )
             })
             .collect();
+        let fences = FenceBook::new(cfg.num_cores);
         let trace = cfg.record_trace.then(|| TraceSink::new(cfg.fence_design));
         let oracle = cfg.schedule.build_oracle(cfg.perturb);
         MemSystem {
@@ -258,6 +263,7 @@ impl MemSystem {
             next_token: 1,
             perturb_seq: 0,
             oracle,
+            fences,
             trace,
             scratch: Vec::new(),
         }
@@ -290,6 +296,7 @@ impl MemSystem {
         self.next_token = 1;
         self.perturb_seq = 0;
         self.oracle = self.cfg.schedule.build_oracle(self.cfg.perturb);
+        self.fences.reset();
         self.trace = self
             .cfg
             .record_trace
@@ -324,19 +331,36 @@ impl MemSystem {
 
     /// The trace sink, mutably, when `record_trace` is enabled.
     ///
-    /// Core-side code emits its fence-lifecycle events through this.
+    /// Core-side code emits its non-lifecycle events through this.
     pub fn trace_sink(&mut self) -> Option<&mut TraceSink> {
         self.trace.as_mut()
     }
 
-    /// The trace sink, if one is recording.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
+    /// Reports one fence-lifecycle event (issue, complete, demote, store
+    /// bounce, rollback): always folded into the fence book, and passed
+    /// on to the trace sink, with the spans it closes, when one is
+    /// recording.
+    #[inline]
+    pub fn fence_event(&mut self, now: Cycle, core: CoreId, kind: TraceKind) {
+        let ev = TraceEvent {
+            cycle: now,
+            core,
+            kind,
+        };
+        self.fences.observe(ev, self.trace.as_mut());
     }
 
-    /// Removes and returns the trace sink, ending recording.
+    /// The fence book: this run's per-class fence tallies so far.
+    pub fn fence_book(&self) -> &FenceBook {
+        &self.fences
+    }
+
+    /// Removes and returns the trace sink, ending recording. The sink
+    /// carries the fence book's totals as of now.
     pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.trace.take()
+        let mut sink = self.trace.take()?;
+        sink.set_totals(&self.fences);
+        Some(sink)
     }
 
     /// Asks the schedule oracle how long a retired store waits in the
@@ -1140,7 +1164,7 @@ impl MemSystem {
     }
 
     fn handle_bounce(&mut self, now: Cycle, core: usize, line: LineAddr) {
-        let token = {
+        let (token, attempt) = {
             let port = &mut self.ports[core];
             let Some(ps) = port.pending_stores.get_mut(&line) else {
                 return; // stale
@@ -1151,16 +1175,9 @@ impl MemSystem {
                 port.counters.writes_bounced += 1;
             }
             port.counters.bounce_retries += 1;
-            let attempt = ps.attempt;
-            let token = ps.token;
-            trace_event!(
-                self.trace.as_mut(),
-                now,
-                CoreId(core),
-                TraceKind::StoreBounce { line, attempt }
-            );
-            token
+            (ps.token, ps.attempt)
         };
+        self.fence_event(now, CoreId(core), TraceKind::StoreBounce { line, attempt });
         self.ports[core]
             .events
             .push_back(MemEvent::StoreBounced { token });

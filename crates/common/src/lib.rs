@@ -57,4 +57,4 @@ pub use schedule::{
 pub use scvlog::{ScvEvent, ScvLog};
 pub use stats::{CoreStats, DerivedStats, MachineStats, StallKind};
 pub use telemetry::{BenchSnapshot, MetricEntry, PhaseTimer, PoolTelemetry, Stopwatch};
-pub use trace::{FenceClass, FenceSpan, FenceTally, TraceEvent, TraceKind, TraceSink};
+pub use trace::{FenceBook, FenceClass, FenceSpan, FenceTally, TraceEvent, TraceKind, TraceSink};

@@ -13,12 +13,16 @@
 //! default; `MachineConfig::record_trace` turns it on, mirroring
 //! `record_scv_log`.
 //!
-//! Besides the raw ring, the sink maintains *exact* aggregates that
-//! survive ring wrap-around: per-class [`FenceTally`] histograms
-//! (latency in log2 buckets, bounces per fence) and paired
-//! issue→complete [`FenceSpan`]s keyed by the stable fence id
-//! `(core, fence serial)`. [`TraceSink::chrome_json`] renders the whole
-//! thing as Chrome-trace/Perfetto JSON (load it at <https://ui.perfetto.dev>).
+//! Fence episodes are paired by a [`FenceBook`], which the memory system
+//! owns whether or not a sink is attached. It folds every
+//! fence-lifecycle event, keyed by the stable fence id `(core, fence
+//! serial)`, into *exact* per-class [`FenceTally`] histograms (latency
+//! in log2 buckets, bounces per fence), so every run reports its fence
+//! tallies without a trace. With a sink attached, the book also hands it
+//! each event and each closed [`FenceSpan`]; the sink's ring may wrap,
+//! but the totals it reports come from the book.
+//! [`TraceSink::chrome_json`] renders the trace as Chrome-trace/Perfetto
+//! JSON (load it at <https://ui.perfetto.dev>).
 //!
 //! Producers use the [`trace_event!`](crate::trace_event) macro, which
 //! evaluates its event expression only when a sink is attached.
@@ -28,26 +32,34 @@
 //! ```
 //! use asymfence_common::config::FenceDesign;
 //! use asymfence_common::ids::CoreId;
-//! use asymfence_common::trace::{FenceClass, TraceEvent, TraceKind, TraceSink};
+//! use asymfence_common::trace::{FenceBook, FenceClass, TraceEvent, TraceKind, TraceSink};
 //!
+//! let mut book = FenceBook::new(2);
 //! let mut sink = TraceSink::new(FenceDesign::WsPlus);
-//! sink.record(TraceEvent {
-//!     cycle: 100,
-//!     core: CoreId(1),
-//!     kind: TraceKind::FenceIssue { serial: 1, class: FenceClass::Weak },
-//! });
-//! sink.record(TraceEvent {
-//!     cycle: 160,
-//!     core: CoreId(1),
-//!     kind: TraceKind::FenceComplete { serial: 1 },
-//! });
+//! book.observe(
+//!     TraceEvent {
+//!         cycle: 100,
+//!         core: CoreId(1),
+//!         kind: TraceKind::FenceIssue { serial: 1, class: FenceClass::Weak },
+//!     },
+//!     Some(&mut sink),
+//! );
+//! book.observe(
+//!     TraceEvent {
+//!         cycle: 160,
+//!         core: CoreId(1),
+//!         kind: TraceKind::FenceComplete { serial: 1 },
+//!     },
+//!     Some(&mut sink),
+//! );
+//! assert_eq!(book.tally(FenceClass::Weak).completed, 1);
 //! let span = &sink.spans()[0];
 //! assert_eq!((span.issue, span.complete), (100, 160));
+//! sink.set_totals(&book);
 //! assert_eq!(sink.tally(FenceClass::Weak).completed, 1);
 //! assert!(sink.chrome_json().contains("\"ph\":\"X\""));
 //! ```
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::config::FenceDesign;
@@ -376,12 +388,169 @@ impl<T> Ring<T> {
     }
 }
 
+/// A fence episode between its issue and its completion (or rollback).
 #[derive(Clone, Copy, Debug)]
 struct OpenFence {
+    serial: u64,
     class: FenceClass,
     issue: Cycle,
     bounces: u32,
     demoted: bool,
+}
+
+/// Fence-episode pairing: the one place fence-lifecycle events become
+/// [`FenceSpan`]s and [`FenceTally`] histograms. The memory system owns
+/// one per machine and folds every lifecycle event into it, traced or
+/// not, so the tallies cost no trace.
+///
+/// Open episodes sit in per-core lists in serial order. A store bounce
+/// goes to its core's oldest open fence, the episode the bounced
+/// pre-fence store blocks; a rollback squashes every open fence on its
+/// core in serial order. [`FenceBook::reset`] clears everything in place,
+/// keeping the lists' allocations.
+#[derive(Clone, Debug, Default)]
+pub struct FenceBook {
+    open: Vec<Vec<OpenFence>>,
+    tallies: [FenceTally; 3],
+    unattributed_bounces: u64,
+}
+
+impl FenceBook {
+    /// An empty book with one open-fence list per core.
+    pub fn new(cores: usize) -> Self {
+        FenceBook {
+            open: vec![Vec::new(); cores],
+            ..FenceBook::default()
+        }
+    }
+
+    /// Forgets every episode and total, keeping the lists' allocations.
+    pub fn reset(&mut self) {
+        for list in &mut self.open {
+            list.clear();
+        }
+        self.tallies = Default::default();
+        self.unattributed_bounces = 0;
+    }
+
+    /// Exact aggregate tally for one fence class.
+    pub fn tally(&self, class: FenceClass) -> &FenceTally {
+        &self.tallies[class.idx()]
+    }
+
+    /// All three tallies, in [`FenceClass::ALL`] order.
+    pub fn tallies(&self) -> &[FenceTally; 3] {
+        &self.tallies
+    }
+
+    /// Store bounces that happened while their core had no open fence.
+    pub fn unattributed_bounces(&self) -> u64 {
+        self.unattributed_bounces
+    }
+
+    /// Folds one event into the book and, when `sink` is attached,
+    /// records the spans it closes and then the event itself.
+    pub fn observe(&mut self, ev: TraceEvent, mut sink: Option<&mut TraceSink>) {
+        self.fold(&ev, |span| {
+            if let Some(s) = sink.as_deref_mut() {
+                s.spans.push(span);
+            }
+        });
+        if let Some(s) = sink {
+            s.record(ev);
+        }
+    }
+
+    /// Folds one event, handing each episode it closes to `closed`.
+    /// Events other than issue, complete, demote, bounce and rollback
+    /// leave the book unchanged; completing or demoting a serial that is
+    /// not open is ignored.
+    fn fold(&mut self, ev: &TraceEvent, mut closed: impl FnMut(FenceSpan)) {
+        let c = ev.core.0;
+        match ev.kind {
+            TraceKind::FenceIssue { serial, class } => {
+                self.tallies[class.idx()].issued += 1;
+                if c >= self.open.len() {
+                    self.open.resize_with(c + 1, Vec::new);
+                }
+                let f = OpenFence {
+                    serial,
+                    class,
+                    issue: ev.cycle,
+                    bounces: 0,
+                    demoted: false,
+                };
+                let list = &mut self.open[c];
+                match list.binary_search_by_key(&serial, |f| f.serial) {
+                    Ok(i) => list[i] = f,
+                    Err(i) => list.insert(i, f),
+                }
+            }
+            TraceKind::FenceDemote { serial } => {
+                if let Some(f) = self.find(c, serial) {
+                    f.demoted = true;
+                    let class = f.class;
+                    self.tallies[class.idx()].demoted += 1;
+                }
+            }
+            TraceKind::StoreBounce { .. } => {
+                match self.open.get_mut(c).and_then(|list| list.first_mut()) {
+                    Some(f) => {
+                        f.bounces += 1;
+                        self.tallies[f.class.idx()].bounces += 1;
+                    }
+                    None => self.unattributed_bounces += 1,
+                }
+            }
+            TraceKind::FenceComplete { serial } => {
+                let Some(list) = self.open.get_mut(c) else {
+                    return;
+                };
+                if let Ok(i) = list.binary_search_by_key(&serial, |f| f.serial) {
+                    let f = list.remove(i);
+                    closed(close(&mut self.tallies, ev, f, false));
+                }
+            }
+            TraceKind::Rollback { .. } => {
+                // Every open episode on this core is squashed; the fence
+                // re-dispatches with a fresh serial after recovery.
+                let Some(list) = self.open.get_mut(c) else {
+                    return;
+                };
+                for f in list.drain(..) {
+                    closed(close(&mut self.tallies, ev, f, true));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn find(&mut self, core: usize, serial: u64) -> Option<&mut OpenFence> {
+        let list = self.open.get_mut(core)?;
+        let i = list.binary_search_by_key(&serial, |f| f.serial).ok()?;
+        Some(&mut list[i])
+    }
+}
+
+/// Ends episode `f` at `ev`, counting it in its class's tally.
+fn close(
+    tallies: &mut [FenceTally; 3],
+    ev: &TraceEvent,
+    f: OpenFence,
+    rolled_back: bool,
+) -> FenceSpan {
+    let span = FenceSpan {
+        core: ev.core,
+        serial: f.serial,
+        class: f.class,
+        issue: f.issue,
+        complete: ev.cycle,
+        bounces: f.bounces,
+        demoted: f.demoted,
+        rolled_back,
+    };
+    tallies[f.class.idx()].close(span.latency(), f.bounces, rolled_back);
+    span
 }
 
 /// The trace recorder. One per machine, owned by the memory system and
@@ -391,9 +560,7 @@ pub struct TraceSink {
     design: FenceDesign,
     events: Ring<TraceEvent>,
     spans: Ring<FenceSpan>,
-    open: HashMap<(usize, u64), OpenFence>,
     tallies: [FenceTally; 3],
-    /// Bounces seen while the core had no open fence episode.
     unattributed_bounces: u64,
     recorded: u64,
 }
@@ -411,7 +578,6 @@ impl TraceSink {
             design,
             events: Ring::new(capacity),
             spans: Ring::new((capacity / 4).max(1)),
-            open: HashMap::new(),
             tallies: Default::default(),
             unattributed_bounces: 0,
             recorded: 0,
@@ -453,105 +619,36 @@ impl TraceSink {
         self.spans.iter().collect()
     }
 
-    /// Exact aggregate tally for one fence class.
+    /// Exact aggregate tally for one fence class, as of the last
+    /// [`TraceSink::set_totals`].
     pub fn tally(&self, class: FenceClass) -> &FenceTally {
         &self.tallies[class.idx()]
     }
 
-    /// Store bounces that happened while their core had no open fence.
+    /// Store bounces that happened while their core had no open fence,
+    /// as of the last [`TraceSink::set_totals`].
     pub fn unattributed_bounces(&self) -> u64 {
         self.unattributed_bounces
     }
 
-    /// Records one event, updating fence pairing and the tallies.
+    /// Copies `book`'s exact totals onto the sink. The memory system
+    /// does this when it hands the sink out, so [`TraceSink::tally`]
+    /// covers the whole run even where the rings wrapped.
+    pub fn set_totals(&mut self, book: &FenceBook) {
+        self.tallies.clone_from(book.tallies());
+        self.unattributed_bounces = book.unattributed_bounces();
+    }
+
+    /// Records one event in the ring. Fence episodes are paired by a
+    /// [`FenceBook`], which passes lifecycle events on to the sink
+    /// ([`FenceBook::observe`]); recording them here directly adds no
+    /// span.
     ///
     /// Recording is pure observation: it never changes simulation state,
     /// so traced and untraced runs are bit-identical.
     pub fn record(&mut self, ev: TraceEvent) {
         self.recorded += 1;
-        let c = ev.core.0;
-        match ev.kind {
-            TraceKind::FenceIssue { serial, class } => {
-                self.tallies[class.idx()].issued += 1;
-                self.open.insert(
-                    (c, serial),
-                    OpenFence {
-                        class,
-                        issue: ev.cycle,
-                        bounces: 0,
-                        demoted: false,
-                    },
-                );
-            }
-            TraceKind::FenceDemote { serial } => {
-                if let Some(f) = self.open.get_mut(&(c, serial)) {
-                    f.demoted = true;
-                    self.tallies[f.class.idx()].demoted += 1;
-                }
-            }
-            TraceKind::StoreBounce { .. } => {
-                // Attribute the bounce to the core's oldest open fence:
-                // that is the episode the bounced pre-fence store blocks.
-                let oldest = self
-                    .open
-                    .keys()
-                    .filter(|(core, _)| *core == c)
-                    .map(|&(_, serial)| serial)
-                    .min();
-                match oldest {
-                    Some(serial) => {
-                        let f = self.open.get_mut(&(c, serial)).expect("open fence");
-                        f.bounces += 1;
-                        self.tallies[f.class.idx()].bounces += 1;
-                    }
-                    None => self.unattributed_bounces += 1,
-                }
-            }
-            TraceKind::FenceComplete { serial } => {
-                if let Some(f) = self.open.remove(&(c, serial)) {
-                    self.close_span(ev.core, serial, f, ev.cycle, false);
-                }
-            }
-            TraceKind::Rollback { .. } => {
-                // Every open episode on this core is squashed; the fence
-                // re-dispatches with a fresh serial after recovery.
-                let mut squashed: Vec<u64> = self
-                    .open
-                    .keys()
-                    .filter(|(core, _)| *core == c)
-                    .map(|&(_, serial)| serial)
-                    .collect();
-                squashed.sort_unstable();
-                for serial in squashed {
-                    let f = self.open.remove(&(c, serial)).expect("open fence");
-                    self.close_span(ev.core, serial, f, ev.cycle, true);
-                }
-            }
-            _ => {}
-        }
         self.events.push(ev);
-    }
-
-    fn close_span(
-        &mut self,
-        core: CoreId,
-        serial: u64,
-        f: OpenFence,
-        end: Cycle,
-        rolled_back: bool,
-    ) {
-        let span = FenceSpan {
-            core,
-            serial,
-            class: f.class,
-            issue: f.issue,
-            complete: end,
-            bounces: f.bounces,
-            demoted: f.demoted,
-            rolled_back,
-        };
-        self.tallies[f.class.idx()].close(span.latency(), f.bounces, rolled_back);
-        self.spans.push(span);
     }
 
     /// Renders the trace as Chrome-trace/Perfetto JSON (the
@@ -758,80 +855,206 @@ mod tests {
         }
     }
 
-    #[test]
-    fn issue_complete_pairs_into_a_span() {
-        let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(
-            10,
-            0,
-            TraceKind::FenceIssue {
-                serial: 1,
-                class: FenceClass::Weak,
-            },
-        ));
-        s.record(ev(
-            12,
-            0,
+    fn issue(cycle: Cycle, core: usize, serial: u64, class: FenceClass) -> TraceEvent {
+        ev(cycle, core, TraceKind::FenceIssue { serial, class })
+    }
+
+    fn complete(cycle: Cycle, core: usize, serial: u64) -> TraceEvent {
+        ev(cycle, core, TraceKind::FenceComplete { serial })
+    }
+
+    fn bounce(cycle: Cycle, core: usize) -> TraceEvent {
+        ev(
+            cycle,
+            core,
             TraceKind::StoreBounce {
                 line: LineAddr::from_raw(4),
                 attempt: 1,
             },
-        ));
-        s.record(ev(70, 0, TraceKind::FenceComplete { serial: 1 }));
-        let spans = s.spans();
+        )
+    }
+
+    /// Folds `events` into a fresh book, collecting the spans it closes.
+    fn fold_all(events: &[TraceEvent]) -> (FenceBook, Vec<FenceSpan>) {
+        let mut book = FenceBook::new(2);
+        let mut spans = Vec::new();
+        for e in events {
+            book.fold(e, |s| spans.push(s));
+        }
+        (book, spans)
+    }
+
+    #[test]
+    fn issue_complete_pairs_into_a_span() {
+        let (book, spans) = fold_all(&[
+            issue(10, 0, 1, FenceClass::Weak),
+            bounce(12, 0),
+            complete(70, 0, 1),
+        ]);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].latency(), 60);
         assert_eq!(spans[0].bounces, 1);
-        let t = s.tally(FenceClass::Weak);
+        let t = book.tally(FenceClass::Weak);
         assert_eq!((t.issued, t.completed, t.bounces), (1, 1, 1));
         assert_eq!(t.latency_buckets[5], 1, "60 cycles lands in [32,64)");
     }
 
     #[test]
-    fn rollback_squashes_open_fences() {
-        let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(
-            10,
-            2,
-            TraceKind::FenceIssue {
-                serial: 1,
-                class: FenceClass::Weak,
-            },
-        ));
-        s.record(ev(
-            20,
-            2,
-            TraceKind::FenceIssue {
-                serial: 2,
-                class: FenceClass::Weak,
-            },
-        ));
-        s.record(ev(500, 2, TraceKind::Rollback { serial: 1 }));
-        let spans = s.spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|sp| sp.rolled_back));
-        assert_eq!(spans[0].serial, 1, "squashed spans close in serial order");
-        let t = s.tally(FenceClass::Weak);
-        assert_eq!((t.issued, t.completed, t.rolled_back), (2, 0, 2));
+    fn a_bounce_goes_to_the_cores_oldest_open_fence() {
+        let (book, spans) = fold_all(&[
+            issue(2, 0, 5, FenceClass::Weak),
+            issue(3, 0, 6, FenceClass::Strong),
+            issue(3, 1, 1, FenceClass::Strong),
+            bounce(4, 0),
+            complete(9, 0, 5),
+            complete(10, 0, 6),
+            complete(10, 1, 1),
+        ]);
+        assert_eq!(
+            spans
+                .iter()
+                .map(|s| (s.core.0, s.serial, s.bounces))
+                .collect::<Vec<_>>(),
+            vec![(0, 5, 1), (0, 6, 0), (1, 1, 0)]
+        );
+        assert_eq!(book.tally(FenceClass::Weak).bounces, 1);
+        assert_eq!(book.tally(FenceClass::Strong).bounces, 0);
+        assert_eq!(book.tally(FenceClass::Weak).bounce_buckets[1], 1);
+        assert_eq!(book.unattributed_bounces(), 0);
+    }
+
+    #[test]
+    fn a_bounce_with_no_open_fence_is_unattributed() {
+        let (book, _) = fold_all(&[
+            bounce(1, 0),
+            issue(2, 1, 1, FenceClass::Weak),
+            bounce(3, 0),
+            complete(4, 1, 1),
+            bounce(5, 1),
+        ]);
+        assert_eq!(book.unattributed_bounces(), 3);
+        assert_eq!(book.tally(FenceClass::Weak).bounces, 0);
+    }
+
+    #[test]
+    fn rollback_squashes_open_fences_in_serial_order() {
+        let (book, spans) = fold_all(&[
+            issue(10, 1, 1, FenceClass::Weak),
+            issue(20, 1, 2, FenceClass::Weak),
+            issue(30, 1, 3, FenceClass::Strong),
+            complete(40, 1, 2),
+            issue(50, 0, 1, FenceClass::Weak),
+            ev(500, 1, TraceKind::Rollback { serial: 1 }),
+        ]);
+        let squashed: Vec<_> = spans.iter().filter(|s| s.rolled_back).collect();
+        assert_eq!(
+            squashed.iter().map(|s| s.serial).collect::<Vec<_>>(),
+            vec![1, 3],
+            "squashed spans close in serial order"
+        );
+        assert!(squashed
+            .iter()
+            .all(|s| s.core == CoreId(1) && s.complete == 500));
+        let t = book.tally(FenceClass::Weak);
+        assert_eq!((t.issued, t.completed, t.rolled_back), (3, 1, 1));
+        assert_eq!(book.tally(FenceClass::Strong).rolled_back, 1);
+        // Core 0's fence is still open and still completes.
+        let mut book = book;
+        let mut late = Vec::new();
+        book.fold(&complete(600, 0, 1), |s| late.push(s));
+        assert_eq!(late.len(), 1);
+        assert_eq!(book.tally(FenceClass::Weak).completed, 2);
+    }
+
+    #[test]
+    fn completing_or_demoting_an_unknown_serial_is_ignored() {
+        let (book, spans) = fold_all(&[
+            issue(1, 0, 1, FenceClass::WeeWeak),
+            complete(2, 0, 7),
+            ev(3, 0, TraceKind::FenceDemote { serial: 7 }),
+            complete(4, 1, 1),
+            ev(5, 0, TraceKind::Rollback { serial: 9 }),
+            complete(6, 0, 1),
+        ]);
+        assert!(spans.iter().all(|s| s.rolled_back), "{spans:?}");
+        let t = book.tally(FenceClass::WeeWeak);
+        assert_eq!(
+            (t.issued, t.completed, t.rolled_back, t.demoted),
+            (1, 0, 1, 0)
+        );
+    }
+
+    #[test]
+    fn a_demoted_fence_keeps_its_class_and_counts_once() {
+        let (book, spans) = fold_all(&[
+            issue(1, 0, 1, FenceClass::WeeWeak),
+            ev(2, 0, TraceKind::FenceDemote { serial: 1 }),
+            complete(9, 0, 1),
+        ]);
+        assert!(spans[0].demoted);
+        assert_eq!(spans[0].class, FenceClass::WeeWeak);
+        let t = book.tally(FenceClass::WeeWeak);
+        assert_eq!((t.demoted, t.completed), (1, 1));
+    }
+
+    #[test]
+    fn reset_clears_everything() {
+        let (mut book, _) = fold_all(&[
+            issue(1, 0, 1, FenceClass::Weak),
+            issue(1, 1, 1, FenceClass::Strong),
+            complete(5, 1, 1),
+            bounce(6, 0),
+            bounce(6, 1),
+        ]);
+        book.reset();
+        assert_eq!(book.tallies(), &<[FenceTally; 3]>::default());
+        assert_eq!(book.unattributed_bounces(), 0);
+        // Nothing stays open: the old serial no longer completes, and a
+        // bounce finds no fence.
+        let mut spans = Vec::new();
+        book.fold(&complete(9, 0, 1), |s| spans.push(s));
+        book.fold(&bounce(9, 0), |s| spans.push(s));
+        assert!(spans.is_empty());
+        assert_eq!(book.unattributed_bounces(), 1);
+    }
+
+    #[test]
+    fn the_book_feeds_an_attached_sink() {
+        let mut book = FenceBook::new(1);
+        let mut sink = TraceSink::new(FenceDesign::WPlus);
+        let events = [
+            issue(10, 0, 1, FenceClass::Weak),
+            bounce(11, 0),
+            complete(20, 0, 1),
+            bounce(21, 0),
+        ];
+        for e in events {
+            book.observe(e, Some(&mut sink));
+        }
+        book.observe(issue(30, 0, 2, FenceClass::Weak), None);
+        assert_eq!(sink.recorded(), 4, "events pass through in order");
+        assert!(sink.events().copied().eq(events));
+        assert_eq!(sink.spans().len(), 1);
+        assert_eq!(sink.tally(FenceClass::Weak).issued, 0, "totals not set yet");
+        sink.set_totals(&book);
+        assert_eq!(sink.tally(FenceClass::Weak), book.tally(FenceClass::Weak));
+        assert_eq!(sink.tally(FenceClass::Weak).issued, 2);
+        assert_eq!(sink.unattributed_bounces(), 1);
     }
 
     #[test]
     fn ring_evicts_oldest_but_tallies_stay_exact() {
+        let mut book = FenceBook::new(1);
         let mut s = TraceSink::with_capacity(FenceDesign::SPlus, 4);
         for i in 0..10 {
-            s.record(ev(
-                i,
-                0,
-                TraceKind::FenceIssue {
-                    serial: i,
-                    class: FenceClass::Strong,
-                },
-            ));
-            s.record(ev(i + 1, 0, TraceKind::FenceComplete { serial: i }));
+            book.observe(issue(i, 0, i, FenceClass::Strong), Some(&mut s));
+            book.observe(complete(i + 1, 0, i), Some(&mut s));
         }
+        s.set_totals(&book);
         assert_eq!(s.len(), 4);
         assert_eq!(s.dropped(), 16);
         assert_eq!(s.recorded(), 20);
+        assert_eq!(s.spans().len(), 1, "the span ring holds a quarter");
         assert_eq!(
             s.tally(FenceClass::Strong).completed,
             10,
@@ -839,46 +1062,6 @@ mod tests {
         );
         let newest = s.events().last().unwrap();
         assert_eq!(newest.cycle, 10);
-    }
-
-    #[test]
-    fn bounces_attach_to_the_oldest_open_fence() {
-        let mut s = TraceSink::new(FenceDesign::WPlus);
-        s.record(ev(
-            1,
-            0,
-            TraceKind::StoreBounce {
-                line: LineAddr::from_raw(1),
-                attempt: 1,
-            },
-        ));
-        assert_eq!(s.unattributed_bounces(), 1);
-        s.record(ev(
-            2,
-            0,
-            TraceKind::FenceIssue {
-                serial: 5,
-                class: FenceClass::Weak,
-            },
-        ));
-        s.record(ev(
-            3,
-            0,
-            TraceKind::FenceIssue {
-                serial: 6,
-                class: FenceClass::Weak,
-            },
-        ));
-        s.record(ev(
-            4,
-            0,
-            TraceKind::StoreBounce {
-                line: LineAddr::from_raw(1),
-                attempt: 2,
-            },
-        ));
-        s.record(ev(9, 0, TraceKind::FenceComplete { serial: 5 }));
-        assert_eq!(s.spans()[0].bounces, 1);
     }
 
     #[test]
@@ -953,15 +1136,9 @@ mod tests {
 
     #[test]
     fn chrome_json_is_loadable_shape() {
+        let mut book = FenceBook::new(2);
         let mut s = TraceSink::new(FenceDesign::Wee);
-        s.record(ev(
-            10,
-            1,
-            TraceKind::FenceIssue {
-                serial: 1,
-                class: FenceClass::WeeWeak,
-            },
-        ));
+        book.observe(issue(10, 1, 1, FenceClass::WeeWeak), Some(&mut s));
         s.record(ev(
             11,
             1,
@@ -972,7 +1149,7 @@ mod tests {
                 msg: "GrtDepositAndRead",
             },
         ));
-        s.record(ev(40, 1, TraceKind::FenceComplete { serial: 1 }));
+        book.observe(complete(40, 1, 1), Some(&mut s));
         let json = s.chrome_json();
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"ph\":\"X\""), "fence span present");

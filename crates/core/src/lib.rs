@@ -75,7 +75,7 @@ pub mod prelude {
     pub use asymfence_common::rng::SimRng;
     pub use asymfence_common::stats::{CoreStats, DerivedStats, MachineStats};
     pub use asymfence_common::trace::{
-        FenceClass, FenceSpan, FenceTally, TraceEvent, TraceKind, TraceSink,
+        FenceBook, FenceClass, FenceSpan, FenceTally, TraceEvent, TraceKind, TraceSink,
     };
     pub use asymfence_cpu::program::{
         FenceRole, FenceSite, Fetch, Instr, Registers, ScriptProgram, ThreadProgram,

@@ -27,7 +27,7 @@ use asymfence_common::config::MachineConfig;
 use asymfence_common::ids::{Addr, CoreId, Cycle};
 use asymfence_common::scvlog::ScvLog;
 use asymfence_common::stats::{CoreStats, MachineStats};
-use asymfence_common::trace::TraceSink;
+use asymfence_common::trace::{FenceBook, TraceSink};
 use asymfence_cpu::program::{Fetch, ThreadProgram};
 use asymfence_cpu::Core;
 
@@ -396,12 +396,14 @@ impl Machine {
         self.scv_log.as_ref()
     }
 
-    /// The fence-lifecycle trace (if `record_trace` was enabled).
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.mem.trace()
+    /// The fence book: the run's exact per-class fence tallies, folded
+    /// on every run, traced or not, and cleared by [`Machine::reset`].
+    pub fn fence_book(&self) -> &FenceBook {
+        self.mem.fence_book()
     }
 
-    /// Removes and returns the fence-lifecycle trace, ending recording.
+    /// Removes and returns the fence-lifecycle trace (if `record_trace`
+    /// was enabled), ending recording. Its tallies are the fence book's.
     ///
     /// Useful after a run to export or attach the trace without keeping
     /// the machine alive.

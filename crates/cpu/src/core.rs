@@ -557,12 +557,7 @@ impl Core {
                 TraceKind::BsEvict { entries: evicted }
             );
         }
-        trace_event!(
-            mem.trace_sink(),
-            now,
-            self.id,
-            TraceKind::FenceComplete { serial: f.serial }
-        );
+        mem.fence_event(now, self.id, TraceKind::FenceComplete { serial: f.serial });
         if f.kind == HwFence::WeeWeak {
             mem.wee_unregister(now, self.id, f.serial);
         }
@@ -734,12 +729,7 @@ impl Core {
                             // Wee: Pending Set spans several directory
                             // banks; the fence becomes conventional.
                             self.stats.wee_demotions += 1;
-                            trace_event!(
-                                mem.trace_sink(),
-                                now,
-                                self.id,
-                                TraceKind::FenceDemote { serial }
-                            );
+                            mem.fence_event(now, self.id, TraceKind::FenceDemote { serial });
                             if let Some(RobEntry {
                                 kind: RobKind::Fence { kind, .. },
                                 ..
@@ -800,12 +790,7 @@ impl Core {
                 }
                 self.stats.sf_count += 1;
                 self.completed_fence_serial = serial;
-                trace_event!(
-                    mem.trace_sink(),
-                    now,
-                    self.id,
-                    TraceKind::FenceComplete { serial }
-                );
+                mem.fence_event(now, self.id, TraceKind::FenceComplete { serial });
                 FenceStep::Retire
             }
             HwFence::Weak => {
@@ -829,12 +814,7 @@ impl Core {
                 if ps.is_empty() {
                     // Nothing pending: completes immediately, stays weak.
                     self.completed_fence_serial = serial;
-                    trace_event!(
-                        mem.trace_sink(),
-                        now,
-                        self.id,
-                        TraceKind::FenceComplete { serial }
-                    );
+                    mem.fence_event(now, self.id, TraceKind::FenceComplete { serial });
                     return FenceStep::Retire;
                 }
                 mem.wee_register(now, self.id, serial, ps);
@@ -849,12 +829,7 @@ impl Core {
         if self.completed_store_serial >= watermark && !wee {
             // No pending pre-fence stores: already complete.
             self.completed_fence_serial = serial;
-            trace_event!(
-                mem.trace_sink(),
-                now,
-                self.id,
-                TraceKind::FenceComplete { serial }
-            );
+            mem.fence_event(now, self.id, TraceKind::FenceComplete { serial });
             if matches!(self.design, FenceDesign::WsPlus | FenceDesign::SwPlus) {
                 self.orderable_wfs = self.orderable_wfs.saturating_sub(1);
                 mem.set_order_mode(self.id, self.order_mode());
@@ -1008,13 +983,12 @@ impl Core {
     fn rollback(&mut self, now: Cycle, mem: &mut MemSystem, scv: &mut Option<&mut ScvLog>) {
         let cp = self.checkpoints.pop_front().expect("checkpoint present");
         self.stats.recoveries += 1;
-        trace_event!(
-            mem.trace_sink(),
+        mem.fence_event(
             now,
             self.id,
             TraceKind::Rollback {
-                serial: cp.fence_serial
-            }
+                serial: cp.fence_serial,
+            },
         );
         // The rolled-back accesses architecturally never happened.
         if let Some(log) = scv.as_deref_mut() {
@@ -1122,12 +1096,7 @@ impl Core {
                     HwFence::Weak => FenceClass::Weak,
                     HwFence::WeeWeak => FenceClass::WeeWeak,
                 };
-                trace_event!(
-                    mem.trace_sink(),
-                    now,
-                    self.id,
-                    TraceKind::FenceIssue { serial, class }
-                );
+                mem.fence_event(now, self.id, TraceKind::FenceIssue { serial, class });
                 if kind == HwFence::Weak {
                     if matches!(self.design, FenceDesign::WsPlus | FenceDesign::SwPlus) {
                         // "If the core then executes a wf, set the O bit of
