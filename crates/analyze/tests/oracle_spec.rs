@@ -3,9 +3,10 @@
 //! schedule, the scoring spec's watchdog) has the scoring spec's config
 //! and runs exactly as `RunSpec::execute` does.
 
-use asymfence::prelude::{scv, FenceDesign, Perturbation};
+use asymfence::prelude::{scv, FenceDesign};
 use asymfence_analyze::analyze;
 use asymfence_bench::{RunSpec, Runner, SiteMask, SEED};
+use asymfence_common::schedule::SchedulePlan;
 use asymfence_explore::{ExploreConfig, Explorer};
 use asymfence_synth::Synthesizer;
 use asymfence_workloads::unannot::InferredKernel;
@@ -31,7 +32,7 @@ fn inferred_oracle_machine_runs_what_the_scorer_scores() {
                 ..Default::default()
             });
             let synth = Synthesizer::new(explorer, Runner::with_jobs(1).progress(false), SEED);
-            let mut m = synth.oracle_machine(&spec, |c| c.perturb = Perturbation::default());
+            let mut m = synth.oracle_machine(&spec, |c| c.schedule = SchedulePlan::default());
             assert_eq!(*m.config(), spec.config(), "{}", spec.label());
             let outcome = m.run(synth.explorer.cfg.max_cycles);
             let scored = spec.execute();

@@ -2,8 +2,7 @@
 //!
 //! Each mesh tile hosts one bank of the shared L2 plus the full-map MESI
 //! directory slice for the lines homed there (interleaved by line
-//! address), and — for the WeeFence comparison design — one module of the
-//! distributed Global Reorder Table (GRT).
+//! address).
 //!
 //! Transactions are serialized per line: while a line has a transaction in
 //! flight, new requests are **parked** in a per-line FIFO and serviced
@@ -149,7 +148,6 @@ pub struct DirBank {
     waiting: FxHashMap<LineAddr, std::collections::VecDeque<Msg>>,
     image: FxHashMap<LineAddr, LineData>,
     l2: L2Tags,
-    grt: FxHashMap<usize, Vec<(u64, Vec<LineAddr>)>>,
     counters: BankCounters,
 }
 
@@ -187,7 +185,6 @@ impl DirBank {
             waiting: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
             image: FxHashMap::with_capacity_and_hasher(256, FxBuildHasher::default()),
             l2: L2Tags::new(l2_sets, l2_ways),
-            grt: FxHashMap::with_capacity_and_hasher(16, FxBuildHasher::default()),
             counters: BankCounters {
                 orders: vec![0; num_cores],
                 co_failures: vec![0; num_cores],
@@ -237,7 +234,6 @@ impl DirBank {
             set.clear();
         }
         self.l2.clock = 0;
-        self.grt.clear();
         self.counters.orders.fill(0);
         self.counters.co_failures.fill(0);
         self.counters.co_successes.fill(0);
@@ -392,39 +388,6 @@ impl DirBank {
             } => self.handle_inv_ack(core.0, line, bounced, keep_sharer, true_share, data, out),
             Msg::DowngradeAck { core, line, data } => {
                 self.handle_downgrade_ack(core.0, line, data, out)
-            }
-            Msg::GrtDepositAndRead {
-                core,
-                fence_serial,
-                ps,
-            } => self.handle_grt_deposit(core.0, fence_serial, ps, out),
-            Msg::GrtRead { core, fence_serial } => {
-                let mut remote: Vec<LineAddr> = self
-                    .grt
-                    .iter()
-                    .filter(|(c, _)| **c != core.0)
-                    .flat_map(|(_, fences)| {
-                        fences.iter().flat_map(|(_, lines)| lines.iter().copied())
-                    })
-                    .collect();
-                remote.sort_unstable();
-                remote.dedup();
-                out.push(Outgoing {
-                    dst: core.0,
-                    delay: 1,
-                    msg: Msg::GrtReply {
-                        fence_serial,
-                        remote_ps: remote,
-                    },
-                });
-            }
-            Msg::GrtRemove { core, fence_serial } => {
-                if let Some(entries) = self.grt.get_mut(&core.0) {
-                    entries.retain(|(s, _)| *s != fence_serial);
-                    if entries.is_empty() {
-                        self.grt.remove(&core.0);
-                    }
-                }
             }
             Msg::Unblock { core, line } => {
                 if let Some(txn) = self.busy.get(&line) {
@@ -689,32 +652,6 @@ impl DirBank {
             dst: txn.requester,
             delay,
             msg: Msg::DataS { line, data },
-        });
-    }
-
-    fn handle_grt_deposit(
-        &mut self,
-        core: usize,
-        fence_serial: u64,
-        ps: Vec<LineAddr>,
-        out: &mut Vec<Outgoing>,
-    ) {
-        self.grt.entry(core).or_default().push((fence_serial, ps));
-        let mut remote: Vec<LineAddr> = self
-            .grt
-            .iter()
-            .filter(|(c, _)| **c != core)
-            .flat_map(|(_, fences)| fences.iter().flat_map(|(_, lines)| lines.iter().copied()))
-            .collect();
-        remote.sort_unstable();
-        remote.dedup();
-        out.push(Outgoing {
-            dst: core,
-            delay: 1,
-            msg: Msg::GrtReply {
-                fence_serial,
-                remote_ps: remote,
-            },
         });
     }
 }
@@ -1011,40 +948,6 @@ mod tests {
         assert_eq!(b.owner_of(la(1)), None);
         assert_eq!(b.sharers_of(la(1)), 0b0001);
         assert_eq!(b.backdoor_read(la(1), 3), 4);
-    }
-
-    #[test]
-    fn grt_deposit_returns_other_cores_pending_sets() {
-        let mut b = bank();
-        let out = b.handle(Msg::GrtDepositAndRead {
-            core: CoreId(0),
-            fence_serial: 1,
-            ps: vec![la(8)],
-        });
-        assert!(
-            matches!(&out[0].msg, Msg::GrtReply { remote_ps, .. } if remote_ps.is_empty()),
-            "first depositor sees nothing"
-        );
-        let out = b.handle(Msg::GrtDepositAndRead {
-            core: CoreId(1),
-            fence_serial: 2,
-            ps: vec![la(16)],
-        });
-        assert!(
-            matches!(&out[0].msg, Msg::GrtReply { remote_ps, .. } if remote_ps == &vec![la(8)])
-        );
-        b.handle(Msg::GrtRemove {
-            core: CoreId(0),
-            fence_serial: 1,
-        });
-        let out = b.handle(Msg::GrtDepositAndRead {
-            core: CoreId(2),
-            fence_serial: 3,
-            ps: vec![],
-        });
-        assert!(
-            matches!(&out[0].msg, Msg::GrtReply { remote_ps, .. } if remote_ps == &vec![la(16)])
-        );
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 pub mod bypass;
 pub mod dir;
+mod grt;
 pub mod l1;
 pub mod mem;
 pub mod msg;

@@ -23,6 +23,7 @@ use asymfence_noc::{Mesh, Network};
 
 use crate::bypass::BypassSet;
 use crate::dir::{BankCounters, DirBank, Outgoing};
+use crate::grt::Grt;
 use crate::l1::{L1Cache, L1State};
 use crate::msg::{msg_bytes, msg_is_retry, LineData, Msg, OrderMode, RmwKind, WordUpdate};
 
@@ -33,7 +34,7 @@ const BUSY_RETRY_CYCLES: u64 = 4;
 pub type Token = u64;
 
 /// Completion and notification events delivered to a core.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemEvent {
     /// A load performed; `value` is the loaded word.
     LoadDone {
@@ -67,12 +68,11 @@ pub enum MemEvent {
         line: LineAddr,
     },
     /// Wee: the GRT round trip finished; the fence may now let post-fence
-    /// accesses through, watching `remote_ps`.
+    /// accesses through, watching the remote Pending Sets its deposit
+    /// read ([`MemSystem::wee_remote`]).
     WeeArmed {
         /// Fence this arming belongs to.
         fence_serial: u64,
-        /// Union of remote Pending Sets at the fence's GRT bank.
-        remote_ps: Vec<LineAddr>,
     },
 }
 
@@ -131,14 +131,6 @@ enum LocalEv {
     RetryLoad { line: LineAddr },
 }
 
-#[derive(Clone, Debug)]
-struct WeePending {
-    fence_serial: u64,
-    collected: Vec<LineAddr>,
-    /// Replies still outstanding (own bank first, then the broadcast).
-    remaining: usize,
-}
-
 struct CorePort {
     l1: L1Cache,
     bs: BypassSet,
@@ -147,7 +139,9 @@ struct CorePort {
     /// TSO issues one total, wider merge widths several).
     pending_stores: FxHashMap<LineAddr, PendingStore>,
     order_mode: OrderMode,
-    wee: Option<WeePending>,
+    /// Wee: the fence whose GRT reply this core awaits. One slot: a
+    /// younger fence's registration displaces an older one's arming.
+    wee_arming: Option<u64>,
     events: VecDeque<MemEvent>,
     counters: MemCounters,
 }
@@ -198,6 +192,8 @@ pub struct MemSystem {
     /// Reusable buffer for directory-bank outgoing messages (kept across
     /// dispatches so the hot path never allocates).
     scratch: Vec<Outgoing>,
+    /// WeeFence's Global Reorder Table, reached at [`Self::GRT_HOME`].
+    grt: Grt,
 }
 
 impl MemSystem {
@@ -231,7 +227,7 @@ impl MemSystem {
                 mshrs: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
                 pending_stores: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
                 order_mode: OrderMode::None,
-                wee: None,
+                wee_arming: None,
                 events: VecDeque::new(),
                 counters: MemCounters::default(),
             })
@@ -252,7 +248,8 @@ impl MemSystem {
             .collect();
         let fences = FenceBook::new(cfg.num_cores);
         let trace = cfg.record_trace.then(|| TraceSink::new(cfg.fence_design));
-        let oracle = cfg.schedule.build_oracle(cfg.perturb);
+        let oracle = cfg.schedule.build_oracle();
+        let grt = Grt::new(cfg.num_cores);
         MemSystem {
             cfg,
             ports,
@@ -266,6 +263,7 @@ impl MemSystem {
             fences,
             trace,
             scratch: Vec::new(),
+            grt,
         }
     }
 
@@ -283,7 +281,7 @@ impl MemSystem {
             p.mshrs.clear();
             p.pending_stores.clear();
             p.order_mode = OrderMode::None;
-            p.wee = None;
+            p.wee_arming = None;
             p.events.clear();
             p.counters = MemCounters::default();
         }
@@ -295,8 +293,9 @@ impl MemSystem {
         self.local_seq = 0;
         self.next_token = 1;
         self.perturb_seq = 0;
-        self.oracle = self.cfg.schedule.build_oracle(self.cfg.perturb);
+        self.oracle = self.cfg.schedule.build_oracle();
         self.fences.reset();
+        self.grt.reset();
         self.trace = self
             .cfg
             .record_trace
@@ -721,36 +720,34 @@ impl MemSystem {
     pub const GRT_HOME: usize = 0;
 
     /// Wee: deposit `ps` at the GRT and fetch the other cores' Pending
-    /// Sets; a [`MemEvent::WeeArmed`] event follows.
-    pub fn wee_register(&mut self, now: Cycle, core: CoreId, fence_serial: u64, ps: Vec<LineAddr>) {
-        self.ports[core.0].wee = Some(WeePending {
+    /// Sets; a [`MemEvent::WeeArmed`] event follows unless the fence
+    /// completes, or the core registers a younger fence, first.
+    pub fn wee_register(&mut self, now: Cycle, core: CoreId, fence_serial: u64, ps: &[LineAddr]) {
+        self.ports[core.0].wee_arming = Some(fence_serial);
+        self.grt.register(core.0, fence_serial, ps);
+        let lines = ps.len();
+        let deposit = Msg::GrtDepositAndRead {
+            core,
             fence_serial,
-            collected: Vec::new(),
-            remaining: 1,
-        });
-        self.send(
-            now,
-            core.0,
-            Self::GRT_HOME,
-            Msg::GrtDepositAndRead {
-                core,
-                fence_serial,
-                ps,
-            },
-        );
+            lines,
+        };
+        self.send(now, core.0, Self::GRT_HOME, deposit);
+    }
+
+    /// Wee: the remote Pending-Set lines, sorted and deduplicated, that
+    /// the [`MemEvent::WeeArmed`] of `fence_serial` arms against. Valid
+    /// until `core` registers its next fence.
+    pub fn wee_remote(&self, core: CoreId, fence_serial: u64) -> &[LineAddr] {
+        self.grt.remote(core.0, fence_serial)
     }
 
     /// Wee: remove a completed fence's Pending Set from the GRT.
     pub fn wee_unregister(&mut self, now: Cycle, core: CoreId, fence_serial: u64) {
         // Drop the pending arming only if it belongs to this fence (a
         // younger fence may be mid-arming).
-        if self.ports[core.0]
-            .wee
-            .as_ref()
-            .is_some_and(|w| w.fence_serial == fence_serial)
-        {
-            self.ports[core.0].wee = None;
-        }
+        self.ports[core.0]
+            .wee_arming
+            .take_if(|s| *s == fence_serial);
         self.send(
             now,
             core.0,
@@ -910,20 +907,26 @@ impl MemSystem {
             | Msg::PutM { .. }
             | Msg::InvAck { .. }
             | Msg::DowngradeAck { .. }
-            | Msg::GrtDepositAndRead { .. }
-            | Msg::GrtRead { .. }
-            | Msg::GrtRemove { .. }
             | Msg::Unblock { .. } => {
                 let mut outs = std::mem::take(&mut self.scratch);
                 self.banks[node].handle_into(msg, &mut outs);
                 for o in outs.drain(..) {
-                    let bytes = msg_bytes(&o.msg, self.cfg.line_bytes);
-                    let retry = msg_is_retry(&o.msg);
-                    self.net
-                        .send(now + o.delay, node, o.dst, bytes, retry, o.msg);
+                    self.send_from_node(now + o.delay, node, o.dst, o.msg);
                 }
                 self.scratch = outs;
             }
+            Msg::GrtDepositAndRead {
+                core, fence_serial, ..
+            } => {
+                debug_assert_eq!(node, Self::GRT_HOME);
+                let lines = self.grt.deposit(core.0, fence_serial);
+                let reply = Msg::GrtReply {
+                    fence_serial,
+                    lines,
+                };
+                self.send_from_node(now + 1, node, core.0, reply);
+            }
+            Msg::GrtRemove { core, fence_serial } => self.grt.remove(core.0, fence_serial),
             Msg::DataS { line, data } => {
                 self.handle_fill(now, node, line, data, L1State::S);
                 self.send_unblock(now, node, line);
@@ -942,10 +945,13 @@ impl MemSystem {
             }
             Msg::NackBounce { line } => self.handle_bounce(now, node, line),
             Msg::NackBusy { line } => self.handle_busy_nack(now, node, line),
-            Msg::GrtReply {
-                fence_serial,
-                remote_ps,
-            } => self.handle_grt_reply(node, fence_serial, remote_ps),
+            Msg::GrtReply { fence_serial, .. } => {
+                let port = &mut self.ports[node];
+                // A completed or displaced fence's reply is stale.
+                if port.wee_arming.take_if(|s| *s == fence_serial).is_some() {
+                    port.events.push_back(MemEvent::WeeArmed { fence_serial });
+                }
+            }
             Msg::Inv {
                 line,
                 requester,
@@ -954,6 +960,15 @@ impl MemSystem {
             } => self.handle_inv(now, node, line, requester, order, word_mask),
             Msg::FetchDowngrade { line } => self.handle_fetch_downgrade(now, node, line),
         }
+    }
+
+    /// Sends a message a node's directory or GRT produced, at cycle `at`.
+    /// Unlike [`Self::send`] this asks the oracle nothing and traces
+    /// nothing.
+    fn send_from_node(&mut self, at: Cycle, node: usize, dst: usize, msg: Msg) {
+        let bytes = msg_bytes(&msg, self.cfg.line_bytes);
+        let retry = msg_is_retry(&msg);
+        self.net.send(at, node, dst, bytes, retry, msg);
     }
 
     /// Confirms a data grant so the directory releases the line.
@@ -1136,31 +1151,6 @@ impl MemSystem {
                 .events
                 .push_back(MemEvent::LoadDone { token, value });
         }
-    }
-
-    fn handle_grt_reply(&mut self, core: usize, fence_serial: u64, remote_ps: Vec<LineAddr>) {
-        let Some(wee) = self.ports[core].wee.as_mut() else {
-            return; // stale (fence already completed)
-        };
-        if wee.fence_serial != fence_serial {
-            return;
-        }
-        wee.collected.extend(remote_ps);
-        wee.remaining -= 1;
-        if wee.remaining == 0 {
-            self.finish_wee_arming(core);
-        }
-    }
-
-    fn finish_wee_arming(&mut self, core: usize) {
-        let wee = self.ports[core].wee.take().expect("wee pending");
-        let mut remote = wee.collected;
-        remote.sort_unstable();
-        remote.dedup();
-        self.ports[core].events.push_back(MemEvent::WeeArmed {
-            fence_serial: wee.fence_serial,
-            remote_ps: remote,
-        });
     }
 
     fn handle_bounce(&mut self, now: Cycle, core: usize, line: LineAddr) {
@@ -1528,29 +1518,103 @@ mod tests {
         );
     }
 
+    /// Ticks from `start` until the memory system is idle; returns the
+    /// next cycle.
+    fn settle(m: &mut MemSystem, start: Cycle) -> Cycle {
+        for t in start..start + 10_000 {
+            m.tick(t);
+            if m.is_idle() {
+                return t + 1;
+            }
+        }
+        panic!("memory system must quiesce");
+    }
+
+    /// The fences `core` was armed for since the last call.
+    fn armings(m: &mut MemSystem, core: usize) -> Vec<u64> {
+        std::iter::from_fn(|| m.pop_event(CoreId(core)))
+            .map(|ev| match ev {
+                MemEvent::WeeArmed { fence_serial } => fence_serial,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    fn lines(raw: &[u64]) -> Vec<LineAddr> {
+        raw.iter().map(|&r| LineAddr::from_raw(r)).collect()
+    }
+
     #[test]
-    fn wee_grt_round_trip() {
+    fn grt_deposit_is_invisible_until_it_arrives() {
+        // Core 0 sits at the GRT's node and core 3 two hops away: both
+        // register at cycle 0, and core 0's deposit arrives first.
+        let mut m = ms(4);
+        m.wee_register(0, CoreId(3), 1, &lines(&[8]));
+        m.wee_register(0, CoreId(0), 1, &lines(&[4]));
+        settle(&mut m, 0);
+        assert_eq!(armings(&mut m, 0), [1]);
+        assert_eq!(armings(&mut m, 3), [1]);
+        assert!(
+            m.wee_remote(CoreId(0), 1).is_empty(),
+            "core 3's deposit was still in flight"
+        );
+        assert_eq!(m.wee_remote(CoreId(3), 1), lines(&[4]));
+    }
+
+    #[test]
+    fn grt_keeps_a_cores_open_fences_apart_by_serial() {
         let mut m = ms(2);
-        let line = LineAddr::from_raw(10);
-        m.wee_register(0, CoreId(0), 1, vec![line]);
-        let (_, ev) = next_event(&mut m, 0, 0, 1000);
+        m.wee_register(0, CoreId(0), 1, &lines(&[2]));
+        let t = settle(&mut m, 0);
+        m.wee_register(t, CoreId(0), 2, &lines(&[6]));
+        let t = settle(&mut m, t);
+        assert_eq!(armings(&mut m, 0), [1, 2]);
+        m.wee_register(t, CoreId(1), 1, &lines(&[9]));
+        let t = settle(&mut m, t);
+        assert_eq!(m.wee_remote(CoreId(1), 1), lines(&[2, 6]));
+        m.wee_unregister(t, CoreId(0), 1);
+        let t = settle(&mut m, t);
+        m.wee_register(t, CoreId(1), 2, &lines(&[9]));
+        settle(&mut m, t);
+        assert_eq!(armings(&mut m, 1), [1, 2]);
         assert_eq!(
-            ev,
-            MemEvent::WeeArmed {
-                fence_serial: 1,
-                remote_ps: vec![]
-            }
+            m.wee_remote(CoreId(1), 2),
+            lines(&[6]),
+            "fence 2's lines stay when fence 1's leave"
         );
-        m.wee_register(100, CoreId(1), 2, vec![LineAddr::from_raw(12)]);
-        let (_, ev) = next_event(&mut m, 1, 100, 1000);
-        assert_eq!(
-            ev,
-            MemEvent::WeeArmed {
-                fence_serial: 2,
-                remote_ps: vec![line]
-            }
-        );
-        m.wee_unregister(200, CoreId(0), 1);
+    }
+
+    #[test]
+    fn grt_reply_for_a_finished_fence_arms_nothing() {
+        let mut m = ms(2);
+        // Core 1's fence completes while its deposit is in flight.
+        m.wee_register(0, CoreId(1), 1, &lines(&[3]));
+        m.tick(0);
+        m.wee_unregister(1, CoreId(1), 1);
+        let t = settle(&mut m, 1);
+        assert!(armings(&mut m, 1).is_empty(), "the reply is stale");
+        // Its lines left the table with it.
+        m.wee_register(t, CoreId(0), 1, &lines(&[5]));
+        let t = settle(&mut m, t);
+        assert_eq!(armings(&mut m, 0), [1]);
+        assert!(m.wee_remote(CoreId(0), 1).is_empty());
+        // A younger fence's registration displaces an older arming.
+        m.wee_register(t, CoreId(1), 2, &lines(&[3]));
+        m.wee_register(t, CoreId(1), 3, &lines(&[4]));
+        settle(&mut m, t);
+        assert_eq!(armings(&mut m, 1), [3]);
+    }
+
+    #[test]
+    fn grt_remote_set_is_other_cores_lines_sorted_and_deduplicated() {
+        let mut m = ms(4);
+        m.wee_register(0, CoreId(1), 1, &lines(&[5, 9]));
+        m.wee_register(0, CoreId(2), 1, &lines(&[3, 9]));
+        m.wee_register(0, CoreId(0), 1, &lines(&[7]));
+        let t = settle(&mut m, 0);
+        m.wee_register(t, CoreId(0), 2, &lines(&[1]));
+        settle(&mut m, t);
+        assert_eq!(m.wee_remote(CoreId(0), 2), lines(&[3, 5, 9]));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * sharers may ask to be **kept as sharers** after invalidation,
 //! * writebacks can request keep-as-sharer (dirty eviction of a line whose
 //!   address sits in the Bypass Set, paper §5.1),
-//! * the WeeFence comparison design adds GRT deposit/read/remove traffic.
+//! * the WeeFence comparison design adds GRT deposit, reply and remove
+//!   traffic (ids and a line count; the lines stay in the GRT table).
 
 use asymfence_common::ids::{CoreId, LineAddr};
 
@@ -137,7 +138,7 @@ impl std::fmt::Debug for LineData {
 }
 
 /// Protocol messages exchanged between L1 controllers and directory banks.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Msg {
     // ------------------------------------------------------- core -> dir
     /// Read request.
@@ -178,17 +179,8 @@ pub enum Msg {
         core: CoreId,
         /// Fence identifier, echoed in the reply.
         fence_serial: u64,
-        /// Pending-set lines.
-        ps: Vec<LineAddr>,
-    },
-    /// Wee: read the remote Pending Sets registered at this bank (the
-    /// second phase of fence arming; the deposit went to the fence's own
-    /// bank first).
-    GrtRead {
-        /// Reading core.
-        core: CoreId,
-        /// Fence identifier, echoed in the reply.
-        fence_serial: u64,
+        /// Pending-Set lines carried (the lines wait in the GRT table).
+        lines: usize,
     },
     /// Wee: fence completed, drop that fence's Pending Set.
     GrtRemove {
@@ -250,12 +242,12 @@ pub enum Msg {
         /// Line.
         line: LineAddr,
     },
-    /// Wee: combined remote Pending Sets registered at this bank.
+    /// Wee: the other cores' Pending Sets, as read by a deposit.
     GrtReply {
         /// Echoed fence identifier.
         fence_serial: u64,
-        /// Union of other cores' Pending Sets at this bank.
-        remote_ps: Vec<LineAddr>,
+        /// Remote lines carried (the set waits in the GRT table).
+        lines: usize,
     },
 
     // ---------------------------------------------------- dir -> sharer
@@ -315,7 +307,6 @@ impl Msg {
             Msg::GetX { .. } => "GetX",
             Msg::PutM { .. } => "PutM",
             Msg::GrtDepositAndRead { .. } => "GrtDepositAndRead",
-            Msg::GrtRead { .. } => "GrtRead",
             Msg::GrtRemove { .. } => "GrtRemove",
             Msg::Unblock { .. } => "Unblock",
             Msg::DataS { .. } => "DataS",
@@ -351,10 +342,7 @@ impl Msg {
             | Msg::FetchDowngrade { line }
             | Msg::InvAck { line, .. }
             | Msg::DowngradeAck { line, .. } => Some(*line),
-            Msg::GrtDepositAndRead { .. }
-            | Msg::GrtRead { .. }
-            | Msg::GrtRemove { .. }
-            | Msg::GrtReply { .. } => None,
+            Msg::GrtDepositAndRead { .. } | Msg::GrtRemove { .. } | Msg::GrtReply { .. } => None,
         }
     }
 }
@@ -365,7 +353,6 @@ pub fn msg_bytes(msg: &Msg, line_bytes: u64) -> u64 {
     const HDR: u64 = 16;
     match msg {
         Msg::GetS { .. }
-        | Msg::GrtRead { .. }
         | Msg::GrtRemove { .. }
         | Msg::NackBounce { .. }
         | Msg::NackBusy { .. }
@@ -377,8 +364,9 @@ pub fn msg_bytes(msg: &Msg, line_bytes: u64) -> u64 {
         Msg::DataS { .. } | Msg::DataE { .. } | Msg::DataM { .. } | Msg::OrderDone { .. } => {
             HDR + line_bytes
         }
-        Msg::GrtDepositAndRead { ps, .. } => HDR + 8 * ps.len() as u64,
-        Msg::GrtReply { remote_ps, .. } => HDR + 8 * remote_ps.len() as u64,
+        Msg::GrtDepositAndRead { lines, .. } | Msg::GrtReply { lines, .. } => {
+            HDR + 8 * *lines as u64
+        }
         Msg::InvAck { data, .. } | Msg::DowngradeAck { data, .. } => {
             HDR + data.as_ref().map_or(0, |_| line_bytes)
         }

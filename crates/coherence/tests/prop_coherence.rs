@@ -7,10 +7,12 @@
 //! and replay before fresh cases. `ASF_PROP_CASES` / `ASF_PROP_SEED`
 //! override the budget and base seed.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use asymfence_coherence::mem::{MemEvent, MemSystem};
 use asymfence_coherence::RmwKind;
 use asymfence_common::config::MachineConfig;
-use asymfence_common::ids::{Addr, CoreId};
+use asymfence_common::ids::{Addr, CoreId, LineAddr};
 use asymfence_common::prop::{bools, check, pairs, triples, u64s, usizes, vecs, Config};
 
 fn cfg(cores: usize) -> MachineConfig {
@@ -235,6 +237,84 @@ fn bounce_then_complete() {
             let got = ms.backdoor_read(addr);
             if got != value {
                 return Err(format!("memory holds {got}, want {value}"));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The GRT against a map model: each step registers a fence (Pending
+/// Set drawn from a line mask) or unregisters one of the core's open
+/// fences, then runs to idle. Every registration arms exactly once,
+/// against the sorted union of the other cores' open Pending Sets.
+#[test]
+fn grt_matches_a_map_of_open_fences() {
+    let gen = pairs(
+        usizes(2, 4),
+        vecs(triples(usizes(0, 3), bools(), u64s(1, 255)), 1, 24),
+    );
+    check(
+        "grt_matches_a_map_of_open_fences",
+        &prop_cfg(32),
+        &gen,
+        |(cores, steps)| {
+            let mut ms = MemSystem::new(&cfg(*cores));
+            let mut open: BTreeMap<(usize, u64), Vec<LineAddr>> = BTreeMap::new();
+            let mut next_serial = vec![1u64; *cores];
+            let mut t = 0u64;
+            for &(core, register, mask) in steps {
+                let core = core % cores;
+                let mine: Vec<u64> = open
+                    .range((core, 0)..(core + 1, 0))
+                    .map(|(k, _)| k.1)
+                    .collect();
+                let armed = if register || mine.is_empty() {
+                    let serial = next_serial[core];
+                    next_serial[core] += 1;
+                    let ps: Vec<LineAddr> = (0..8)
+                        .filter(|bit| mask >> bit & 1 == 1)
+                        .map(LineAddr::from_raw)
+                        .collect();
+                    ms.wee_register(t, CoreId(core), serial, &ps);
+                    let want: BTreeSet<LineAddr> = open
+                        .iter()
+                        .filter(|((c, _), _)| *c != core)
+                        .flat_map(|(_, lines)| lines.iter().copied())
+                        .collect();
+                    open.insert((core, serial), ps);
+                    Some((serial, want))
+                } else {
+                    let serial = mine[mask as usize % mine.len()];
+                    ms.wee_unregister(t, CoreId(core), serial);
+                    open.remove(&(core, serial));
+                    None
+                };
+                let got = run_to_idle(&mut ms, t, 1_000)?;
+                t += 1_000;
+                match armed {
+                    Some((serial, want)) => {
+                        if got
+                            != [(
+                                core,
+                                MemEvent::WeeArmed {
+                                    fence_serial: serial,
+                                },
+                            )]
+                        {
+                            return Err(format!("core {core} fence {serial}: events {got:?}"));
+                        }
+                        let remote = ms.wee_remote(CoreId(core), serial);
+                        if !remote.iter().copied().eq(want.iter().copied()) {
+                            return Err(format!(
+                                "core {core} fence {serial} read {remote:?}, want {want:?}"
+                            ));
+                        }
+                    }
+                    None if !got.is_empty() => {
+                        return Err(format!("removal raised events {got:?}"));
+                    }
+                    None => {}
+                }
             }
             Ok(())
         },

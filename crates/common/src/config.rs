@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::schedule::SchedulePlan;
+
 /// Which fence microarchitecture the machine implements.
 ///
 /// This is the paper's Table 1 taxonomy. Workloads tag each fence with a
@@ -233,12 +235,11 @@ pub struct MachineConfig {
     pub record_trace: bool,
     /// RNG seed threaded to workloads for deterministic runs.
     pub seed: u64,
-    /// Deterministic timing perturbations (off by default).
-    pub perturb: Perturbation,
     /// How the machine sources schedule nondeterminism: sample seeded
-    /// jitter from `perturb` (the default) or replay a scripted
-    /// decision vector for bounded-exhaustive exploration.
-    pub schedule: crate::schedule::SchedulePlan,
+    /// jitter from a [`Perturbation`] (the default, inactive: natural
+    /// time) or replay a scripted decision vector for bounded-exhaustive
+    /// exploration.
+    pub schedule: SchedulePlan,
     /// An explicit per-site fence-strength override
     /// ([`crate::assign::SiteMask`]). `None` (the default) leaves every
     /// fence on the design's role rule.
@@ -273,8 +274,7 @@ impl Default for MachineConfig {
             record_scv_log: false,
             record_trace: false,
             seed: 0xA5F0_2015,
-            perturb: Perturbation::default(),
-            schedule: crate::schedule::SchedulePlan::Seeded,
+            schedule: SchedulePlan::default(),
             fence_assignment: None,
         }
     }
@@ -380,17 +380,15 @@ impl MachineConfig {
         if self.dir_interleave_lines == 0 {
             return Err("dir_interleave_lines must be nonzero".into());
         }
-        let p = &self.perturb;
-        if p.noc_jitter.max(p.wb_stall).max(p.inval_delay) >= self.watchdog_cycles {
-            return Err("perturbation delays must stay below watchdog_cycles".into());
-        }
-        if let crate::schedule::SchedulePlan::Scripted(s) = &self.schedule {
-            if s.arity < 2 {
-                return Err("scripted schedules need at least two options per point".into());
+        let max_delay = match &self.schedule {
+            SchedulePlan::Seeded(p) => p.noc_jitter.max(p.wb_stall).max(p.inval_delay),
+            SchedulePlan::Scripted(s) if s.arity < 2 => {
+                return Err("scripted schedules need at least two options per point".into())
             }
-            if s.quanta.max_delay(s.arity) >= self.watchdog_cycles {
-                return Err("scripted schedule delays must stay below watchdog_cycles".into());
-            }
+            SchedulePlan::Scripted(s) => s.quanta.max_delay(s.arity),
+        };
+        if max_delay >= self.watchdog_cycles {
+            return Err("schedule delays must stay below watchdog_cycles".into());
         }
         Ok(())
     }
@@ -510,14 +508,8 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Sets the deterministic timing perturbations.
-    pub fn perturb(mut self, p: Perturbation) -> Self {
-        self.cfg.perturb = p;
-        self
-    }
-
     /// Sets the schedule plan (seeded sampling vs scripted replay).
-    pub fn schedule(mut self, plan: crate::schedule::SchedulePlan) -> Self {
+    pub fn schedule(mut self, plan: SchedulePlan) -> Self {
         self.cfg.schedule = plan;
         self
     }
@@ -657,12 +649,12 @@ mod tests {
     #[test]
     fn perturbation_bounded_by_watchdog() {
         let mut c = MachineConfig::default();
-        c.perturb = Perturbation {
+        c.schedule = SchedulePlan::Seeded(Perturbation {
             seed: 1,
             noc_jitter: c.watchdog_cycles,
             wb_stall: 0,
             inval_delay: 0,
-        };
+        });
         assert!(c.validate().is_err());
     }
 

@@ -256,23 +256,28 @@ impl ScheduleOracle for ScriptOracle {
 
 /// How a machine sources its schedule nondeterminism (data-only; the
 /// memory system constructs the boxed oracle from this).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedulePlan {
-    /// Sample seeded jitter per `MachineConfig::perturb` (natural
-    /// schedule when the perturbation is inactive). The default.
-    #[default]
-    Seeded,
+    /// Sample seeded jitter from this perturbation (natural schedule
+    /// when it is inactive, as in the default).
+    Seeded(Perturbation),
     /// Replay a decided schedule and record the choice points
     /// encountered (bounded-exhaustive exploration).
     Scripted(ScheduleScript),
 }
 
+impl Default for SchedulePlan {
+    fn default() -> Self {
+        SchedulePlan::Seeded(Perturbation::default())
+    }
+}
+
 impl SchedulePlan {
     /// Builds the oracle this plan describes; `None` means "no
     /// nondeterminism" (every event on natural time, zero overhead).
-    pub fn build_oracle(&self, perturb: Perturbation) -> Option<Box<dyn ScheduleOracle>> {
+    pub fn build_oracle(&self) -> Option<Box<dyn ScheduleOracle>> {
         match self {
-            SchedulePlan::Seeded => perturb
+            &SchedulePlan::Seeded(perturb) => perturb
                 .is_active()
                 .then(|| Box::new(SeededJitter { perturb }) as Box<dyn ScheduleOracle>),
             SchedulePlan::Scripted(script) => {
@@ -358,19 +363,17 @@ mod tests {
 
     #[test]
     fn plan_builds_the_right_oracle() {
-        assert!(SchedulePlan::Seeded
-            .build_oracle(Perturbation::default())
-            .is_none());
+        assert!(SchedulePlan::default().build_oracle().is_none());
         let p = Perturbation {
             seed: 1,
             noc_jitter: 4,
             wb_stall: 0,
             inval_delay: 0,
         };
-        assert!(SchedulePlan::Seeded.build_oracle(p).is_some());
+        assert!(SchedulePlan::Seeded(p).build_oracle().is_some());
         let scripted =
             SchedulePlan::Scripted(ScheduleScript::natural(ScheduleQuanta::default(), 2));
-        assert!(scripted.build_oracle(Perturbation::default()).is_some());
+        assert!(scripted.build_oracle().is_some());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   Order / Conditional-Order escape for the core's own bounced writes.
 //! * **W+** — all fences weak; a checkpoint is taken at weak-fence
 //!   dispatch, and a both-sides-bouncing timeout triggers rollback.
-//! * **Wee** — weak fences with a GRT deposit + broadcast-read; a fence
+//! * **Wee** — weak fences with one GRT deposit-and-read round trip; a fence
 //!   whose Pending Set spans several directory banks demotes to strong,
 //!   and post-fence loads stall on RemotePS hits.
 //!
@@ -100,16 +100,14 @@ struct WbEntry {
     ready_at: Cycle,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ActiveFence {
     serial: u64,
     kind: HwFence,
     /// All stores with serial `<= watermark` must complete.
     watermark: u64,
-    /// Wee: GRT reply received.
+    /// Wee: GRT reply received (its remote lines are in `wee_remote`).
     armed: bool,
-    /// Wee: remote Pending Sets to watch.
-    remote_ps: Vec<LineAddr>,
 }
 
 struct Checkpoint {
@@ -157,6 +155,11 @@ pub struct Core {
     last_fence_serial: u64,
     completed_fence_serial: u64,
     active_fences: Vec<ActiveFence>,
+    /// Wee: the remote Pending-Set lines each armed fence watches,
+    /// tagged with the fence's serial.
+    wee_remote: Vec<(u64, LineAddr)>,
+    /// Wee: scratch for a fence's Pending Set, reused across fences.
+    wee_ps: Vec<LineAddr>,
     orderable_wfs: u64,
 
     checkpoints: VecDeque<Checkpoint>,
@@ -207,6 +210,8 @@ impl Core {
             last_fence_serial: 0,
             completed_fence_serial: 0,
             active_fences: Vec::new(),
+            wee_remote: Vec::new(),
+            wee_ps: Vec::new(),
             orderable_wfs: 0,
             checkpoints: VecDeque::new(),
             timeout_count: 0,
@@ -240,6 +245,7 @@ impl Core {
         self.last_fence_serial = 0;
         self.completed_fence_serial = 0;
         self.active_fences.clear();
+        self.wee_remote.clear();
         self.orderable_wfs = 0;
         self.checkpoints.clear();
         self.timeout_count = 0;
@@ -487,17 +493,16 @@ impl Core {
                     }
                 }
                 MemEvent::InvSeen { line } => self.squash_speculative_loads(now, mem, line),
-                MemEvent::WeeArmed {
-                    fence_serial,
-                    remote_ps,
-                } => {
+                MemEvent::WeeArmed { fence_serial } => {
                     if let Some(f) = self
                         .active_fences
                         .iter_mut()
                         .find(|f| f.serial == fence_serial)
                     {
                         f.armed = true;
-                        f.remote_ps = remote_ps;
+                        let remote = mem.wee_remote(self.id, fence_serial);
+                        self.wee_remote
+                            .extend(remote.iter().map(|&l| (fence_serial, l)));
                     }
                 }
             }
@@ -559,6 +564,7 @@ impl Core {
         }
         mem.fence_event(now, self.id, TraceKind::FenceComplete { serial: f.serial });
         if f.kind == HwFence::WeeWeak {
+            self.wee_remote.retain(|&(s, _)| s != f.serial);
             mem.wee_unregister(now, self.id, f.serial);
         }
         if f.kind == HwFence::Weak
@@ -801,7 +807,9 @@ impl Core {
             HwFence::WeeWeak => {
                 // Pending Set: lines of every buffered (and in-flight)
                 // pre-fence store.
-                let mut ps: Vec<LineAddr> = self.wb.iter().map(|w| self.line_of(w.addr)).collect();
+                let (ps, lb) = (&mut self.wee_ps, self.cfg.line_bytes);
+                ps.clear();
+                ps.extend(self.wb.iter().map(|w| LineAddr::containing(w.addr, lb)));
                 ps.sort_unstable();
                 ps.dedup();
                 let home = ps.first().map(|l| mem.home_bank(*l));
@@ -817,7 +825,7 @@ impl Core {
                     mem.fence_event(now, self.id, TraceKind::FenceComplete { serial });
                     return FenceStep::Retire;
                 }
-                mem.wee_register(now, self.id, serial, ps);
+                mem.wee_register(now, self.id, serial, &self.wee_ps);
                 self.activate_weak_fence(now, mem, serial, true);
                 FenceStep::Retire
             }
@@ -848,7 +856,6 @@ impl Core {
             kind: if wee { HwFence::WeeWeak } else { HwFence::Weak },
             watermark,
             armed: !wee,
-            remote_ps: Vec::new(),
         });
     }
 
@@ -867,7 +874,7 @@ impl Core {
                     if !f.armed {
                         return LoadGate::Stall;
                     }
-                    if f.remote_ps.contains(&line) {
+                    if self.wee_remote.contains(&(f.serial, line)) {
                         return LoadGate::RemotePsStall;
                     }
                     gate = LoadGate::Early;

@@ -356,10 +356,10 @@ fn wee_fence_stays_weak_on_single_bank_and_retires_loads_early() {
 }
 
 #[test]
-fn wee_post_fence_load_to_foreign_bank_retires_early_after_broadcast() {
-    // With the two-phase GRT arming (deposit, then read every bank), a
-    // post-fence load may complete early regardless of its home bank, as
-    // long as it misses the collected RemotePS.
+fn wee_post_fence_load_to_foreign_bank_retires_early_once_armed() {
+    // The GRT is one table, so once armed a post-fence load may complete
+    // early regardless of its home bank, as long as it misses the remote
+    // Pending Sets the deposit read.
     let c = MachineConfig::builder()
         .cores(2)
         .fence_design(FenceDesign::Wee)
@@ -389,9 +389,9 @@ fn wee_post_fence_load_to_foreign_bank_retires_early_after_broadcast() {
 
 #[test]
 fn wee_remote_ps_hit_stalls_post_fence_load() {
-    // Crossed SB under Wee with every line homed at bank 0: both fences
-    // register at the same GRT bank, so (at least) the later one sees the
-    // other's Pending Set and must hold its post-fence load back.
+    // Crossed SB under Wee: both fences deposit at the one GRT, so (at
+    // least) the later one sees the other's Pending Set and must hold its
+    // post-fence load back.
     let c = cfg(FenceDesign::Wee);
     let (progs, ra, rb) = crossed_wf_programs();
     let (cores, _, done) = run(&c, progs, 2_000_000);

@@ -365,7 +365,7 @@ impl Explorer {
     ) -> Option<TraceSink> {
         let perturb = self.cfg.perturbation(seed);
         self.trace_if_failing(scenario.build(design, self.cfg.watchdog_cycles, |c| {
-            c.perturb = perturb;
+            c.schedule = SchedulePlan::Seeded(perturb);
             c.record_trace = true;
         }))
     }

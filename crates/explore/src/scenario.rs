@@ -90,7 +90,9 @@ impl Scenario {
         perturb: Perturbation,
         watchdog_cycles: u64,
     ) -> Machine {
-        self.build(design, watchdog_cycles, |c| c.perturb = perturb)
+        self.build(design, watchdog_cycles, |c| {
+            c.schedule = SchedulePlan::Seeded(perturb)
+        })
     }
 
     /// As [`Scenario::machine`], but driven by an explicit

@@ -293,7 +293,7 @@ impl Synthesizer {
                 }
                 None => {
                     let report = self.explorer.sweep_builder(|perturb| {
-                        self.oracle_machine(&spec, |c| c.perturb = perturb)
+                        self.oracle_machine(&spec, |c| c.schedule = SchedulePlan::Seeded(perturb))
                     });
                     (report.runs, report.violation.map(|(_, failure)| failure))
                 }
@@ -477,7 +477,7 @@ pub fn mask_label(labels: &[&str], mask: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asymfence::prelude::{scv, Perturbation};
+    use asymfence::prelude::scv;
     use asymfence_explore::ExploreConfig;
 
     fn quick_synth(jobs: usize) -> Synthesizer {
@@ -502,7 +502,7 @@ mod tests {
             ..Default::default()
         });
         let synth = Synthesizer::new(explorer, Runner::with_jobs(1).progress(false), spec.seed);
-        let mut m = synth.oracle_machine(spec, |c| c.perturb = Perturbation::default());
+        let mut m = synth.oracle_machine(spec, |c| c.schedule = SchedulePlan::default());
         assert_eq!(*m.config(), spec.config(), "{}", spec.label());
         let outcome = m.run(synth.explorer.cfg.max_cycles);
         let scored = spec.execute();
