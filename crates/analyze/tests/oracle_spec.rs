@@ -32,7 +32,7 @@ fn inferred_oracle_machine_runs_what_the_scorer_scores() {
                 ..Default::default()
             });
             let synth = Synthesizer::new(explorer, Runner::with_jobs(1).progress(false), SEED);
-            let mut m = synth.oracle_machine(&spec, |c| c.schedule = SchedulePlan::default());
+            let mut m = synth.oracle_machine(&spec, SchedulePlan::default());
             assert_eq!(*m.config(), spec.config(), "{}", spec.label());
             let outcome = m.run(synth.explorer.cfg.max_cycles);
             let scored = spec.execute();

@@ -52,11 +52,12 @@ const USAGE: &str = "usage: explore --scenario <name|corpus> \
   scenarios: sb-unfenced sb-fenced sb-padded sb-allweak sb-half-fenced\n\
              sb-double-fenced mp-unfenced mp-fenced lb iriw 3cycle corpus\n\
   --seeds N   sweep seed indices 0..N (default 256; seed 0 = natural schedule)\n\
-  --seed N    replay exactly one seed instead of sweeping\n\
+  --seed N    replay exactly one seed instead of sweeping (a usage error\n\
+              with --exhaustive)\n\
   --exhaustive  enumerate schedules (DPOR) instead of sampling seeds; a\n\
               clean, complete walk proves SC up to the bound\n\
   --bound N   reorder bound for --exhaustive: max delayed choices per\n\
-              schedule (default 2)\n\
+              schedule (default 2; a usage error without --exhaustive)\n\
   --quick     with --exhaustive, drop the bound to 1 (smoke/CI scale)\n\
   --jobs N    sweep worker threads (default: ASF_JOBS, then all cores);\n\
               reports are identical at any worker count\n\
@@ -99,7 +100,9 @@ struct Cli {
     bound: Option<usize>,
 }
 
-/// Parses the command line; `--scenario` and `--design` are required.
+/// Parses the command line; `--scenario` and `--design` are required,
+/// and a flag the chosen mode would ignore (`--seed` with
+/// `--exhaustive`, `--bound` without it) is a usage error.
 /// `ASF_SHARDS`/`ASF_SHARD_ID` partition the seed space across fleet
 /// processes (each runs the seeds it owns; `runs` charges the owned
 /// count). Unset, the shard is the whole space.
@@ -127,6 +130,14 @@ fn parse(mut args: Args) -> Result<Cli, Usage> {
     }
     if cli.scenarios.is_empty() || cli.designs.is_empty() {
         return Err(Usage::Error(String::new()));
+    }
+    if cli.exhaustive && cli.single_seed.is_some() {
+        return Err(
+            "--seed replays a sampled seed and cannot be combined with --exhaustive".into(),
+        );
+    }
+    if !cli.exhaustive && cli.bound.is_some() {
+        return Err("--bound applies only with --exhaustive".into());
     }
     cli.cfg.shard = asymfence_common::par::Shard::from_env()?;
     Ok(cli)
@@ -213,7 +224,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                     Some(f) => {
                         println!("{label}{design:?} seed {seed}: FAILED\n{f}");
                         if let Some(path) = &cli.trace {
-                            let trace = ex.run_seed_traced(&sc, design, seed);
+                            let trace = ex.replay_traced(&sc, design, cfg.seeded(seed));
                             write_trace(path, design, trace.as_ref())?;
                         }
                         dirty = true;
@@ -286,8 +297,6 @@ mod tests {
             "W+",
             "--seeds",
             "9",
-            "--seed",
-            "4",
             "--jobs",
             "2",
             "--trace",
@@ -301,11 +310,13 @@ mod tests {
         .unwrap();
         assert!(cli.scenarios.len() > 1, "corpus expands");
         assert_eq!(cli.designs, vec![FenceDesign::WPlus]);
-        assert_eq!((cli.cfg.seeds, cli.single_seed, cli.jobs), (9, Some(4), 2));
+        assert_eq!((cli.cfg.seeds, cli.jobs), (9, 2));
         assert_eq!(cli.trace.as_deref(), Some("t.json"));
         assert_eq!(cli.metrics.as_deref(), Some("m.json"));
         assert!(cli.exhaustive);
         assert_eq!(cli.bound, Some(3));
+        let replay = parse_of(&["--scenario", "lb", "--design", "S+", "--seed", "4"]).unwrap();
+        assert_eq!(replay.single_seed, Some(4));
         let quick = parse_of(&["--scenario", "lb", "--design", "unsafe", "--quick"]).unwrap();
         assert_eq!(quick.designs, vec![FenceDesign::WfOnlyUnsafe]);
         assert!(quick.quick);
@@ -322,6 +333,25 @@ mod tests {
         assert!(err(&["--scenario", "lb", "--design", "S+", "--seeds", "x"]));
         assert!(err(&["--scenario", "lb", "--design", "S+", "--bound"]));
         assert!(err(&["--scenario", "lb", "--design", "S+", "--frobnicate"]));
+        let says = |v: &[&str], flags: &[&str]| match parse_of(v) {
+            Err(Usage::Error(msg)) => flags.iter().all(|f| msg.contains(f)),
+            _ => false,
+        };
+        let sb = ["--scenario", "sb-fenced", "--design", "W+"];
+        assert!(
+            says(
+                &[&sb[..], &["--seed", "17", "--exhaustive"]].concat(),
+                &["--seed", "--exhaustive"]
+            ),
+            "--seed is ignored by the exhaustive walk"
+        );
+        assert!(
+            says(
+                &[&sb[..], &["--bound", "3"]].concat(),
+                &["--bound", "--exhaustive"]
+            ),
+            "--bound is ignored by the seed sweep"
+        );
         assert_eq!(parse_of(&["--help"]).unwrap_err(), Usage::Help);
         assert_eq!(
             parse_of(&["--scenario", "lb", "-h"]).unwrap_err(),

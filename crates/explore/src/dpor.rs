@@ -45,7 +45,7 @@
 //! census and the first violation are byte-identical at any worker
 //! count.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use asymfence_common::par;
 use asymfence_common::schedule::{ChoiceRecord, ScheduleQuanta, ScheduleRecording, ScheduleScript};
@@ -206,51 +206,59 @@ where
         }
     }
 
-    /// Explores every schedule extending `decisions` whose extra
-    /// nonzero choices all land at indices `>= decisions.len()`, given
-    /// `obs` (the already-executed run of `decisions` + zeros) and the
-    /// cost spent so far. Deepest-point-first, matching the canonical
-    /// serial order the parallel fold reproduces.
-    fn branch(&self, rep: &mut SubtreeReport, decisions: &[u8], obs: &RunObs, cost: usize) {
-        if cost >= self.cfg.bound {
+    /// Probes point `i` of `parent` (the executed run of `decisions` +
+    /// zeros, with `cost` nonzero decisions): runs each nonzero option
+    /// at `i` and walks every schedule extending it at deeper indices
+    /// `> i`, deepest-point-first — the canonical serial order the
+    /// parallel fold reproduces. Stops at the bound, at a violation and
+    /// at the subtree's run budget, which is checked before every run.
+    fn probe(
+        &self,
+        rep: &mut SubtreeReport,
+        decisions: &[u8],
+        parent: &RunObs,
+        i: usize,
+        cost: usize,
+    ) {
+        if cost >= self.cfg.bound || rep.violation.is_some() || !rep.complete {
             return;
         }
-        for i in (decisions.len()..obs.points.len()).rev() {
-            if self.cfg.prune && !self.conflicting(&obs.points[i]) {
-                rep.pruned += u64::from(self.cfg.arity) - 1;
+        if self.cfg.prune && !self.conflicting(&parent.points[i]) {
+            rep.pruned += u64::from(self.cfg.arity) - 1;
+            return;
+        }
+        for k in 1..self.cfg.arity {
+            if rep.violation.is_some() || !rep.complete {
+                return;
+            }
+            if rep.executed >= self.cfg.max_runs_per_subtree {
+                rep.complete = false;
+                return;
+            }
+            let mut d = decisions.to_vec();
+            d.resize(i + 1, 0);
+            d[i] = k;
+            let obs = (self.run)(&self.cfg.script(d.clone()));
+            rep.executed += 1;
+            rep.classes.insert(obs.class);
+            if let Some(f) = obs.failure.clone() {
+                rep.violation = Some((d, f));
+                return;
+            }
+            if self.cfg.prune && obs.fingerprint == parent.fingerprint {
+                // The delay was absorbed: the run replayed the parent
+                // cycle-for-cycle, so every deeper extension replays
+                // the sibling subtree. Sleep it — but only charge
+                // `pruned` when bound remained to spend (at the leaf
+                // level there is no subtree to discharge, and
+                // `explored` must match full enumeration).
+                if cost + 1 < self.cfg.bound {
+                    rep.pruned += 1;
+                }
                 continue;
             }
-            for k in 1..self.cfg.arity {
-                if rep.violation.is_some() || !rep.complete {
-                    return;
-                }
-                if rep.executed >= self.cfg.max_runs_per_subtree {
-                    rep.complete = false;
-                    return;
-                }
-                let mut d2 = decisions.to_vec();
-                d2.resize(i + 1, 0);
-                d2[i] = k;
-                let obs2 = (self.run)(&self.cfg.script(d2.clone()));
-                rep.executed += 1;
-                rep.classes.insert(obs2.class);
-                if let Some(f) = obs2.failure.clone() {
-                    rep.violation = Some((d2, f));
-                    return;
-                }
-                if self.cfg.prune && obs2.fingerprint == obs.fingerprint {
-                    // The delay was absorbed: the run replayed the
-                    // parent cycle-for-cycle, so every deeper extension
-                    // replays the sibling subtree. Sleep it — but only
-                    // charge `pruned` when bound remained to spend (at
-                    // the leaf level there is no subtree to discharge,
-                    // and `explored` must match full enumeration).
-                    if cost + 1 < self.cfg.bound {
-                        rep.pruned += 1;
-                    }
-                    continue;
-                }
-                self.branch(rep, &d2, &obs2, cost + 1);
+            for j in (i + 1..obs.points.len()).rev() {
+                self.probe(rep, &d, &obs, j, cost + 1);
             }
         }
     }
@@ -296,34 +304,7 @@ where
             complete: true,
             ..SubtreeReport::default()
         };
-        if cfg.bound == 0 {
-            return rep;
-        }
-        if cfg.prune && !ctx.conflicting(&root.points[i]) {
-            rep.pruned += u64::from(cfg.arity) - 1;
-            return rep;
-        }
-        for k in 1..cfg.arity {
-            if rep.violation.is_some() || !rep.complete {
-                break;
-            }
-            let mut d = vec![0u8; i + 1];
-            d[i] = k;
-            let obs = run(&cfg.script(d.clone()));
-            rep.executed += 1;
-            rep.classes.insert(obs.class);
-            if let Some(f) = obs.failure.clone() {
-                rep.violation = Some((d, f));
-                break;
-            }
-            if cfg.prune && obs.fingerprint == root.fingerprint {
-                if cfg.bound > 1 {
-                    rep.pruned += 1;
-                }
-                continue;
-            }
-            ctx.branch(&mut rep, &d, &obs, 1);
-        }
+        ctx.probe(&mut rep, &[], &root, i, 0);
         rep
     });
 
@@ -445,19 +426,18 @@ pub fn trace_class(failure: &Option<Failure>, log: &ScvLog) -> u64 {
 
 /// Raw line addresses accessed by two or more cores in `log`.
 pub fn shared_lines(log: &ScvLog, line_bytes: u64) -> BTreeSet<u64> {
-    use std::collections::BTreeMap;
+    lines_shared_by_cores(log.events.iter().map(|e| (e.core, e.addr / line_bytes)))
+}
+
+/// The lines that two or more cores touch, from `(core, line)` accesses.
+pub(crate) fn lines_shared_by_cores(
+    accesses: impl IntoIterator<Item = (usize, u64)>,
+) -> BTreeSet<u64> {
     let mut owner: BTreeMap<u64, usize> = BTreeMap::new();
     let mut shared = BTreeSet::new();
-    for e in &log.events {
-        let line = e.addr / line_bytes;
-        match owner.get(&line) {
-            None => {
-                owner.insert(line, e.core);
-            }
-            Some(&c) if c == e.core => {}
-            Some(_) => {
-                shared.insert(line);
-            }
+    for (core, line) in accesses {
+        if *owner.entry(line).or_insert(core) != core {
+            shared.insert(line);
         }
     }
     shared
@@ -610,6 +590,65 @@ mod tests {
         assert_eq!(a.classes, b.classes);
         assert_eq!(a.explored, b.explored);
         assert_eq!(a.complete, b.complete);
+    }
+
+    /// Census `(executed, pruned, explored, classes, complete)` of a
+    /// bound-2 walk over 4 points, point 1 on a private line, every
+    /// schedule distinct, at the given arity and per-subtree budget.
+    fn census(arity: u8, budget: u64, jobs: usize) -> (u64, u64, u64, u64, bool) {
+        let cfg = DporConfig {
+            bound: 2,
+            arity,
+            max_runs_per_subtree: budget,
+            prune: true,
+            ..DporConfig::default()
+        };
+        let out = explore(&cfg, jobs, |s: &ScheduleScript| {
+            let mut key = s.decisions.clone();
+            while key.last() == Some(&0) {
+                key.pop();
+            }
+            let mut fp = Hasher::new();
+            for &d in &key {
+                fp.word(u64::from(d));
+            }
+            fp.word(key.len() as u64 + 100);
+            let mut o = obs(4, None, fp.0, fp.0 % 5);
+            o.points[1].point.line = Some(0xDEAD);
+            o
+        });
+        (
+            out.executed,
+            out.pruned,
+            out.explored,
+            out.classes,
+            out.complete,
+        )
+    }
+
+    /// Every probe checks the subtree budget before it runs, at the top
+    /// level as below it, so a subtree never executes more than its
+    /// budget: the walk runs at most the root plus 3 conflicting
+    /// subtrees × budget.
+    #[test]
+    fn subtree_budget_caps_every_probe_at_any_arity() {
+        let rows = [
+            (2, 0, (1, 1, 2, 1, false)),
+            (2, 1, (4, 1, 5, 3, false)),
+            (2, 2, (6, 1, 7, 4, false)),
+            (2, 20_000, (7, 2, 9, 4, true)),
+            (3, 0, (1, 2, 3, 1, false)),
+            (3, 1, (4, 2, 6, 3, false)),
+            (3, 2, (7, 2, 9, 4, false)),
+            (3, 20_000, (19, 6, 25, 4, true)),
+        ];
+        for (arity, budget, want) in rows {
+            for jobs in [1, 3] {
+                let got = census(arity, budget, jobs);
+                assert_eq!(got, want, "arity={arity} budget={budget} jobs={jobs}");
+                assert!(got.0 <= 1 + 3 * budget, "arity={arity} budget={budget}");
+            }
+        }
     }
 
     #[test]

@@ -80,9 +80,10 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The perturbation for a seed index: 0 means "natural schedule".
-    pub fn perturbation(&self, seed: u64) -> Perturbation {
-        if seed == 0 {
+    /// The schedule plan for a seed index: seeded jitter at the
+    /// configured magnitudes, or the natural schedule for seed 0.
+    pub fn seeded(&self, seed: u64) -> SchedulePlan {
+        SchedulePlan::Seeded(if seed == 0 {
             Perturbation::default()
         } else {
             Perturbation {
@@ -91,7 +92,7 @@ impl ExploreConfig {
                 wb_stall: self.wb_stall,
                 inval_delay: self.inval_delay,
             }
-        }
+        })
     }
 }
 
@@ -286,11 +287,7 @@ impl Explorer {
 
     /// Runs one seed of the scenario and applies the oracle.
     pub fn run_seed(&self, scenario: &Scenario, design: FenceDesign, seed: u64) -> Option<Failure> {
-        let mut m: Machine = scenario.machine(
-            design,
-            self.cfg.perturbation(seed),
-            self.cfg.watchdog_cycles,
-        );
+        let mut m = scenario.machine(design, self.cfg.seeded(seed), self.cfg.watchdog_cycles);
         self.check_machine(&mut m)
     }
 
@@ -321,7 +318,7 @@ impl Explorer {
     /// validate fence assignments without going through a [`Scenario`],
     /// and the seed loop under [`Explorer::sweep`].
     ///
-    /// `build` must be a pure function of the perturbation (each worker
+    /// `build` must be a pure function of the plan (each worker
     /// constructs its own machine, so the machine itself never crosses a
     /// thread boundary) and must enable the SCV log and set its own
     /// watchdog. With more than one worker the seeds fan out over threads
@@ -331,13 +328,13 @@ impl Explorer {
     /// report is identical at any worker count.
     pub fn sweep_builder<F>(&self, build: F) -> OracleReport
     where
-        F: Fn(Perturbation) -> Machine + Sync,
+        F: Fn(SchedulePlan) -> Machine + Sync,
     {
         let hit = par::par_min_find(self.workers(), self.cfg.seeds, |seed| {
             if !self.cfg.shard.owns(seed) {
                 return None;
             }
-            let mut m = build(self.cfg.perturbation(seed));
+            let mut m = build(self.cfg.seeded(seed));
             self.check_machine(&mut m)
         });
         match hit {
@@ -352,27 +349,20 @@ impl Explorer {
         }
     }
 
-    /// Replays one seed with the fence-lifecycle trace attached and
-    /// returns the trace if the run still fails the oracle. Perturbation
-    /// replay is bit-identical and tracing is pure observation, so a
-    /// failing seed re-fails here; `None` guards against an impossible
-    /// divergence rather than an expected path.
-    pub fn run_seed_traced(
+    /// Replays one schedule of the scenario with the fence-lifecycle
+    /// trace attached and returns the trace if the run still fails the
+    /// oracle. Seeded and scripted replays are bit-identical and tracing
+    /// is pure observation, so a failing schedule re-fails here; `None`
+    /// guards against an impossible divergence rather than an expected
+    /// path. Never charged against `runs`: it is a presentation replay,
+    /// not part of the search.
+    pub fn replay_traced(
         &self,
         scenario: &Scenario,
         design: FenceDesign,
-        seed: u64,
+        plan: SchedulePlan,
     ) -> Option<TraceSink> {
-        let perturb = self.cfg.perturbation(seed);
-        self.trace_if_failing(scenario.build(design, self.cfg.watchdog_cycles, |c| {
-            c.schedule = SchedulePlan::Seeded(perturb);
-            c.record_trace = true;
-        }))
-    }
-
-    /// Runs a machine built with the fence trace on through the oracle
-    /// and returns its trace if the run fails.
-    fn trace_if_failing(&self, mut m: Machine) -> Option<TraceSink> {
+        let mut m = scenario.build(design, plan, self.cfg.watchdog_cycles, true);
         self.check_machine(&mut m)
             .is_some()
             .then(|| m.take_trace().expect("record_trace was enabled"))
@@ -384,8 +374,8 @@ impl Explorer {
     /// serial-equivalent count, so the report (and everything shrunk from
     /// it) is identical at any worker count.
     pub fn sweep(&self, scenario: &Scenario, design: FenceDesign) -> SweepReport {
-        let report = self
-            .sweep_builder(|perturb| scenario.machine(design, perturb, self.cfg.watchdog_cycles));
+        let report =
+            self.sweep_builder(|plan| scenario.machine(design, plan, self.cfg.watchdog_cycles));
         let mut runs = report.runs;
         let violation = report.violation.map(|(seed, failure)| {
             let (cex, spent) = self.shrink(scenario.clone(), design, seed, failure);
@@ -438,9 +428,9 @@ impl Explorer {
         None
     }
 
-    /// Greedy structural shrink (threads first, then single ops — the
-    /// order [`Scenario::shrink_candidates`] emits), then seed
-    /// minimization. Returns the counterexample and runs spent.
+    /// Shrinks a sampled failure: the structure, re-failing each
+    /// candidate through [`Explorer::refails`], then the smallest
+    /// reproducing seed. Returns the counterexample and runs spent.
     fn shrink(
         &self,
         scenario: Scenario,
@@ -449,25 +439,14 @@ impl Explorer {
         failure: Failure,
     ) -> (Counterexample, u64) {
         let found_seed = seed;
-        let mut cur = (scenario, seed, failure);
         let mut runs_left = self.cfg.max_shrink_runs;
+        let mut cur = shrink_structure(
+            (scenario, seed, failure),
+            &mut runs_left,
+            |cand, &s, left| self.refails(cand, design, s, left),
+        );
 
-        // Phase 1+2: structural minimization to a local fixpoint.
-        loop {
-            let mut improved = false;
-            for cand in cur.0.shrink_candidates() {
-                if let Some((s, f)) = self.refails(&cand, design, cur.1, &mut runs_left) {
-                    cur = (cand, s, f);
-                    improved = true;
-                    break;
-                }
-            }
-            if !improved || runs_left == 0 {
-                break;
-            }
-        }
-
-        // Phase 3: smallest reproducing seed for the minimal scenario.
+        // Smallest reproducing seed for the minimal scenario.
         for s in 0..cur.1 {
             if runs_left == 0 {
                 break;
@@ -479,13 +458,8 @@ impl Explorer {
             }
         }
 
-        let spent = self.cfg.max_shrink_runs - runs_left;
         let (scenario, seed, failure) = cur;
-        // Replay the minimized failure once with the trace on so the
-        // counterexample carries the exact fence episodes around the
-        // violation. Not charged against `runs`: it is a presentation
-        // replay, not part of the search.
-        let trace = self.run_seed_traced(&scenario, design, seed);
+        let trace = self.replay_traced(&scenario, design, self.cfg.seeded(seed));
         (
             Counterexample {
                 design,
@@ -496,7 +470,7 @@ impl Explorer {
                 trace,
                 schedule: None,
             },
-            spent,
+            self.cfg.max_shrink_runs - runs_left,
         )
     }
 
@@ -541,8 +515,8 @@ impl Explorer {
         design: FenceDesign,
         dcfg: &DporConfig,
     ) -> ExhaustiveReport {
-        let out = self.walk(dcfg, self.workers(), &contested_lines(scenario), |script| {
-            scenario.machine_scripted(design, script, self.cfg.watchdog_cycles)
+        let out = self.walk(dcfg, self.workers(), &contested_lines(scenario), |plan| {
+            scenario.machine(design, plan, self.cfg.watchdog_cycles)
         });
         let mut runs = out.executed;
         let violation = out.violation.clone().map(|(decisions, failure)| {
@@ -568,11 +542,11 @@ impl Explorer {
     /// The library-call form of bounded-exhaustive validation, used by
     /// the synthesis engine: walks the choice tree of machines produced
     /// by `build` without scenario shrinking. `build` must be a pure
-    /// function of the script and enable the SCV log; a complete, clean
+    /// function of the plan and enable the SCV log; a complete, clean
     /// outcome proves the assignment SC up to the bound.
     pub fn explore_exhaustive_builder<F>(&self, dcfg: &DporConfig, build: F) -> ExhaustiveOutcome
     where
-        F: Fn(ScheduleScript) -> Machine + Sync,
+        F: Fn(SchedulePlan) -> Machine + Sync,
     {
         self.walk(dcfg, self.workers(), &BTreeSet::new(), build)
     }
@@ -588,10 +562,10 @@ impl Explorer {
         build: F,
     ) -> ExhaustiveOutcome
     where
-        F: Fn(ScheduleScript) -> Machine + Sync,
+        F: Fn(SchedulePlan) -> Machine + Sync,
     {
         dpor::explore(dcfg, jobs, |script| {
-            self.observe_machine(build(script.clone()), static_shared)
+            self.observe_machine(build(SchedulePlan::Scripted(script.clone())), static_shared)
         })
     }
 
@@ -600,11 +574,11 @@ impl Explorer {
         par::resolve_jobs((self.jobs > 0).then_some(self.jobs))
     }
 
-    /// Greedy shrink of an exhaustively-found failure: structural
-    /// candidates survive when a fresh serial bounded walk still finds
-    /// a violation (adopting its schedule); then the decision vector is
-    /// minimized by zeroing delays one at a time. Returns the
-    /// counterexample and the runs spent.
+    /// Shrinks an exhaustively-found failure: the structure, where a
+    /// candidate re-fails when a fresh serial bounded walk, capped per
+    /// subtree by the remaining budget, still finds a violation (adopting
+    /// its schedule); then the decision vector, zeroing delays one at a
+    /// time. Returns the counterexample and the runs spent.
     fn shrink_exhaustive(
         &self,
         scenario: Scenario,
@@ -614,38 +588,24 @@ impl Explorer {
         failure: Failure,
     ) -> (Counterexample, u64) {
         let mut runs_left = self.cfg.max_shrink_runs;
-        let mut cur = (scenario, decisions, failure);
-
-        // Phase 1: structural minimization to a local fixpoint. Each
-        // candidate gets a serial re-exploration with the remaining
-        // budget as its per-subtree cap.
-        loop {
-            let mut improved = false;
-            for cand in cur.0.shrink_candidates() {
-                if runs_left == 0 {
-                    break;
-                }
+        let mut cur = shrink_structure(
+            (scenario, decisions, failure),
+            &mut runs_left,
+            |cand, _, left| {
                 let sub = DporConfig {
-                    max_runs_per_subtree: dcfg.max_runs_per_subtree.min(runs_left),
+                    max_runs_per_subtree: dcfg.max_runs_per_subtree.min(*left),
                     ..*dcfg
                 };
-                let out = self.walk(&sub, 1, &contested_lines(&cand), |script| {
-                    cand.machine_scripted(design, script, self.cfg.watchdog_cycles)
+                let out = self.walk(&sub, 1, &contested_lines(cand), |plan| {
+                    cand.machine(design, plan, self.cfg.watchdog_cycles)
                 });
-                runs_left = runs_left.saturating_sub(out.executed);
-                if let Some((d, f)) = out.violation {
-                    cur = (cand, d, f);
-                    improved = true;
-                    break;
-                }
-            }
-            if !improved || runs_left == 0 {
-                break;
-            }
-        }
+                *left = left.saturating_sub(out.executed);
+                out.violation
+            },
+        );
 
-        // Phase 2: schedule minimization — drop nonzero decisions
-        // (deepest first) while the failure reproduces.
+        // Schedule minimization — drop nonzero decisions (deepest first)
+        // while the failure reproduces.
         loop {
             let mut improved = false;
             for i in (0..cur.1.len()).rev() {
@@ -675,15 +635,9 @@ impl Explorer {
             }
         }
 
-        let spent = self.cfg.max_shrink_runs - runs_left;
         let (scenario, decisions, failure) = cur;
         let script = dcfg.script(decisions);
-        // Presentation replay with the fence-lifecycle trace attached
-        // (not charged against `runs`, as in the sampled path).
-        let trace = self.trace_if_failing(scenario.build(design, self.cfg.watchdog_cycles, |c| {
-            c.schedule = SchedulePlan::Scripted(script.clone());
-            c.record_trace = true;
-        }));
+        let trace = self.replay_traced(&scenario, design, SchedulePlan::Scripted(script.clone()));
         (
             Counterexample {
                 design,
@@ -694,8 +648,37 @@ impl Explorer {
                 trace,
                 schedule: Some(script),
             },
-            spent,
+            self.cfg.max_shrink_runs - runs_left,
         )
+    }
+}
+
+/// The structural shrink both modes share: greedily adopts the first
+/// of [`Scenario::shrink_candidates`] (threads first, then single
+/// ops) that `refails` — given the current witness, a seed or a
+/// decision vector — reproduces, to a local fixpoint. `refails`
+/// charges its runs against `runs_left`; the loop stops once that is
+/// spent.
+fn shrink_structure<W>(
+    mut cur: (Scenario, W, Failure),
+    runs_left: &mut u64,
+    refails: impl Fn(&Scenario, &W, &mut u64) -> Option<(W, Failure)>,
+) -> (Scenario, W, Failure) {
+    loop {
+        let mut improved = false;
+        for cand in cur.0.shrink_candidates() {
+            if *runs_left == 0 {
+                break;
+            }
+            if let Some((w, f)) = refails(&cand, &cur.1, runs_left) {
+                cur = (cand, w, f);
+                improved = true;
+                break;
+            }
+        }
+        if !improved || *runs_left == 0 {
+            return cur;
+        }
     }
 }
 
@@ -713,8 +696,10 @@ mod tests {
     #[test]
     fn seed_zero_is_unperturbed() {
         let cfg = ExploreConfig::default();
-        assert!(!cfg.perturbation(0).is_active());
-        let p = cfg.perturbation(7);
+        assert!(cfg.seeded(0).build_oracle().is_none());
+        let SchedulePlan::Seeded(p) = cfg.seeded(7) else {
+            panic!("a seed index plans seeded jitter");
+        };
         assert!(p.is_active());
         assert_eq!(p.seed, 7);
         assert_eq!(p.wb_stall, cfg.wb_stall);

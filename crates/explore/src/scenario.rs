@@ -8,15 +8,16 @@
 //!
 //! [`ThreadProgram`]: asymfence::prelude::ThreadProgram
 
+use std::collections::BTreeSet;
 use std::fmt;
 
-use asymfence::prelude::{
-    Addr, FenceDesign, FenceRole, Instr, Machine, MachineConfig, Perturbation,
-};
+use asymfence::prelude::{Addr, FenceDesign, FenceRole, Instr, Machine, MachineConfig};
 use asymfence_common::prop::bools;
 use asymfence_common::prop::{pairs, u8s, usizes, vecs, BoolGen, Gen, PairGen, U8Range, VecGen};
 use asymfence_common::rng::SimRng;
 use asymfence_common::schedule::{SchedulePlan, ScheduleScript};
+
+use crate::dpor;
 
 /// One scenario instruction (data-only mirror of [`Instr`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,57 +82,50 @@ impl Scenario {
         self.threads.iter().map(|t| t.ops.len()).sum()
     }
 
-    /// Builds a machine for this scenario under `design` and the given
-    /// perturbation: one core per thread (min 2), SCV log on, and the
-    /// given watchdog.
+    /// Builds a machine for this scenario: one core per thread (min 2),
+    /// `design`, SCV log on, the given watchdog, and `plan` as the
+    /// schedule under test (seeded jitter or a scripted schedule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the planned delays reach the watchdog
+    /// (`MachineConfig::validate`).
     pub fn machine(
         &self,
         design: FenceDesign,
-        perturb: Perturbation,
+        plan: SchedulePlan,
         watchdog_cycles: u64,
     ) -> Machine {
-        self.build(design, watchdog_cycles, |c| {
-            c.schedule = SchedulePlan::Seeded(perturb)
-        })
+        self.build(design, plan, watchdog_cycles, false)
     }
 
-    /// As [`Scenario::machine`], but driven by an explicit
-    /// [`ScheduleScript`] instead of seeded jitter — the exhaustive
-    /// explorer builds one machine per decision vector through this.
+    /// As [`Scenario::machine`] under a [`ScheduleScript`].
     pub fn machine_scripted(
         &self,
         design: FenceDesign,
         script: ScheduleScript,
         watchdog_cycles: u64,
     ) -> Machine {
-        self.build(design, watchdog_cycles, |c| {
-            c.schedule = SchedulePlan::Scripted(script)
-        })
+        self.machine(design, SchedulePlan::Scripted(script), watchdog_cycles)
     }
 
-    /// Builds a machine for this scenario: one core per thread (min 2),
-    /// `design`, SCV log on and the given watchdog; then `plan` sets the
-    /// schedule under test (a perturbation or a scripted schedule) and,
-    /// for presentation replays, the fence trace. Every scenario machine
-    /// is built here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planned delays reach the watchdog
-    /// (`MachineConfig::validate`).
+    /// Every scenario machine is built here; `record_trace` turns the
+    /// fence trace on for presentation replays.
     pub(crate) fn build(
         &self,
         design: FenceDesign,
+        plan: SchedulePlan,
         watchdog_cycles: u64,
-        plan: impl FnOnce(&mut MachineConfig),
+        record_trace: bool,
     ) -> Machine {
-        let mut cfg = MachineConfig::builder()
+        let cfg = MachineConfig::builder()
             .cores(self.threads.len().max(2))
             .fence_design(design)
             .record_scv_log(true)
+            .record_trace(record_trace)
             .watchdog_cycles(watchdog_cycles)
+            .schedule(plan)
             .build();
-        plan(&mut cfg);
         let mut m = Machine::new(&cfg);
         for (ti, t) in self.threads.iter().enumerate() {
             let mut instrs = Vec::with_capacity(t.ops.len());
@@ -160,28 +154,15 @@ impl Scenario {
     /// Raw line addresses of every slot two or more threads touch — the
     /// statically-known contested footprint the exhaustive explorer
     /// seeds its conflict-pruning set with.
-    pub fn shared_slot_lines(&self, line_bytes: u64) -> std::collections::BTreeSet<u64> {
-        use std::collections::BTreeMap;
-        let mut owner: BTreeMap<u8, usize> = BTreeMap::new();
-        let mut shared = std::collections::BTreeSet::new();
-        for (ti, t) in self.threads.iter().enumerate() {
-            for op in &t.ops {
-                let slot = match *op {
-                    Op::Store { slot } | Op::Load { slot } => slot,
-                    Op::Fence | Op::Compute { .. } => continue,
-                };
-                match owner.get(&slot) {
-                    None => {
-                        owner.insert(slot, ti);
-                    }
-                    Some(&o) if o == ti => {}
-                    Some(_) => {
-                        shared.insert(slot_addr(slot).raw() / line_bytes);
-                    }
+    pub fn shared_slot_lines(&self, line_bytes: u64) -> BTreeSet<u64> {
+        dpor::lines_shared_by_cores(self.threads.iter().enumerate().flat_map(|(ti, t)| {
+            t.ops.iter().filter_map(move |op| match *op {
+                Op::Store { slot } | Op::Load { slot } => {
+                    Some((ti, slot_addr(slot).raw() / line_bytes))
                 }
-            }
-        }
-        shared
+                Op::Fence | Op::Compute { .. } => None,
+            })
+        }))
     }
 
     /// Structurally smaller variants, in shrink priority order: first
@@ -527,7 +508,7 @@ mod tests {
     fn sb_unfenced_builds_and_runs() {
         let sc = Scenario::store_buffering(false);
         assert_eq!(sc.total_ops(), 4);
-        let mut m = sc.machine(FenceDesign::SPlus, Perturbation::default(), 50_000);
+        let mut m = sc.machine(FenceDesign::SPlus, SchedulePlan::default(), 50_000);
         assert_eq!(m.run(1_000_000), RunOutcome::Finished);
         assert!(m.scv_log().is_some());
     }
@@ -548,6 +529,15 @@ mod tests {
         assert!(cands
             .iter()
             .all(|c| c.threads.iter().all(|t| !t.ops.is_empty())));
+    }
+
+    #[test]
+    fn shared_slot_lines_are_the_slots_two_threads_touch() {
+        // Slots 0 and 1 are the Dekker pair; the scratch slots and the
+        // bystander's slots each belong to one thread.
+        let sc = Scenario::store_buffering_padded();
+        let line = |slot: u8| slot_addr(slot).raw() / 32;
+        assert_eq!(sc.shared_slot_lines(32), BTreeSet::from([line(0), line(1)]));
     }
 
     #[test]

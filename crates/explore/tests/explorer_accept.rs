@@ -4,7 +4,7 @@
 //! fence design.
 
 use asymfence::prelude::FenceDesign;
-use asymfence_explore::{ExploreConfig, Explorer, Failure, Scenario, ALL_DESIGNS};
+use asymfence_explore::{DporConfig, ExploreConfig, Explorer, Failure, Scenario, ALL_DESIGNS};
 
 /// The unfenced Dekker core must trip the Shasha–Snir oracle within a
 /// small seed budget and shrink to the textbook two-thread, two-op form.
@@ -195,4 +195,69 @@ fn all_designs_covers_the_paper_taxonomy() {
     assert!(ALL_DESIGNS.contains(&FenceDesign::SwPlus));
     assert!(ALL_DESIGNS.contains(&FenceDesign::WPlus));
     assert!(ALL_DESIGNS.contains(&FenceDesign::Wee));
+}
+
+/// The padded Dekker core under S+ with the shrink budget cut to 1, 5
+/// and 40 runs, sampled and exhaustive (bound 2): the charged runs and
+/// the partly shrunk scenario. Both modes share one structural shrink
+/// loop, which stops before the next candidate once the budget is spent.
+#[test]
+fn shrinking_stops_when_its_budget_is_spent() {
+    const PADDED: &str = "scenario `sb-padded` (3 threads):
+  T0 [NonCritical]: Ld s1; Cp 400; St s2; St s0; Ld s1
+  T1 [NonCritical]: Ld s0; Cp 400; St s3; St s1; Ld s0
+  T2 [NonCritical]: St s4; Cp 100; Ld s5
+";
+    const NO_BYSTANDER: &str = "scenario `sb-padded` (2 threads):
+  T0 [NonCritical]: Ld s1; Cp 400; St s2; St s0; Ld s1
+  T1 [NonCritical]: Ld s0; Cp 400; St s3; St s1; Ld s0
+";
+    const ONE_OP_LESS: &str = "scenario `sb-padded` (2 threads):
+  T0 [NonCritical]: Cp 400; St s2; St s0; Ld s1
+  T1 [NonCritical]: Ld s0; Cp 400; St s3; St s1; Ld s0
+";
+    // (budget, sampled runs, sampled scenario, exhaustive runs,
+    // exhaustive scenario). The natural schedule already fails, so the
+    // sweep charges 1 run (seed 0) and the walk 1 (the root).
+    let rows = [
+        (1, 2, PADDED, 2, PADDED),
+        (5, 6, PADDED, 6, NO_BYSTANDER),
+        (40, 41, NO_BYSTANDER, 41, ONE_OP_LESS),
+    ];
+    let sc = Scenario::store_buffering_padded().with_roles_for(FenceDesign::SPlus);
+    for (budget, sampled_runs, sampled_sc, exh_runs, exh_sc) in rows {
+        let cfg = ExploreConfig {
+            seeds: 64,
+            max_shrink_runs: budget,
+            ..Default::default()
+        };
+        let ex = Explorer::new(cfg);
+        let r = ex.sweep(&sc, FenceDesign::SPlus);
+        let cex = r.violation.expect("padded unfenced SB must violate SC");
+        assert_eq!(r.runs, sampled_runs, "sampled, budget {budget}");
+        assert_eq!(
+            (cex.found_seed, cex.seed),
+            (0, 0),
+            "sampled, budget {budget}"
+        );
+        assert_eq!(
+            cex.scenario.to_string(),
+            sampled_sc,
+            "sampled, budget {budget}"
+        );
+
+        let r = ex.explore_exhaustive(&sc, FenceDesign::SPlus, &DporConfig::from_explore(&cfg, 2));
+        let cex = r.violation.expect("padded unfenced SB must violate SC");
+        assert_eq!(
+            (r.executed, r.runs),
+            (1, exh_runs),
+            "exhaustive, budget {budget}"
+        );
+        assert_eq!(cex.schedule.expect("scripted").decisions, Vec::<u8>::new());
+        assert_eq!(
+            cex.scenario.to_string(),
+            exh_sc,
+            "exhaustive, budget {budget}"
+        );
+    }
 }

@@ -183,19 +183,19 @@ impl Synthesizer {
     }
 
     /// Builds one oracle machine for a scoring spec: the spec's own
-    /// config with the explorer's watchdog, then `plan` (which sets the
-    /// perturbation or the scripted schedule), with the spec's program
-    /// installed. The oracle thus judges exactly the machine the scorer
-    /// times, apart from the schedule under test.
+    /// config with the explorer's watchdog and `plan` as the schedule
+    /// under test, with the spec's program installed. The oracle thus
+    /// judges exactly the machine the scorer times, apart from the
+    /// schedule.
     ///
     /// # Panics
     ///
     /// Panics if the planned perturbation or schedule delays reach the
     /// watchdog (`MachineConfig::validate`).
-    pub fn oracle_machine(&self, spec: &RunSpec, plan: impl FnOnce(&mut MachineConfig)) -> Machine {
+    pub fn oracle_machine(&self, spec: &RunSpec, plan: SchedulePlan) -> Machine {
         let mut cfg = spec.config();
         cfg.watchdog_cycles = self.explorer.cfg.watchdog_cycles;
-        plan(&mut cfg);
+        cfg.schedule = plan;
         let mut m = Machine::new(&cfg);
         spec.install(&mut m);
         m
@@ -284,17 +284,14 @@ impl Synthesizer {
                 continue;
             }
             let spec = target.spec(design, self.seed, n_sites, mask);
+            let build = |plan| self.oracle_machine(&spec, plan);
             let (charged, violation) = match &self.exhaustive {
                 Some(dcfg) => {
-                    let out = self.explorer.explore_exhaustive_builder(dcfg, |script| {
-                        self.oracle_machine(&spec, |c| c.schedule = SchedulePlan::Scripted(script))
-                    });
+                    let out = self.explorer.explore_exhaustive_builder(dcfg, build);
                     (out.executed, out.violation.map(|(_, failure)| failure))
                 }
                 None => {
-                    let report = self.explorer.sweep_builder(|perturb| {
-                        self.oracle_machine(&spec, |c| c.schedule = SchedulePlan::Seeded(perturb))
-                    });
+                    let report = self.explorer.sweep_builder(build);
                     (report.runs, report.violation.map(|(_, failure)| failure))
                 }
             };
@@ -502,7 +499,7 @@ mod tests {
             ..Default::default()
         });
         let synth = Synthesizer::new(explorer, Runner::with_jobs(1).progress(false), spec.seed);
-        let mut m = synth.oracle_machine(spec, |c| c.schedule = SchedulePlan::default());
+        let mut m = synth.oracle_machine(spec, SchedulePlan::default());
         assert_eq!(*m.config(), spec.config(), "{}", spec.label());
         let outcome = m.run(synth.explorer.cfg.max_cycles);
         let scored = spec.execute();
