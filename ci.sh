@@ -277,6 +277,29 @@ if [ "$QUICK" != "quick" ]; then
   ASF_NATIVE_BACKEND=fallback target/release/native_bench --quick \
     > "$NATIVE/fallback.txt"
   grep -q "^backend: seqcst-fallback" "$NATIVE/fallback.txt"
+  # The grid's deterministic columns (kernel, pair, sim design, ops) are
+  # pinned on both backends, so no cell is dropped, renamed or re-mapped
+  # to another simulated design unnoticed.
+  native_grid() {
+    awk -F'|' '/^\| kernel +\| pair /{on=1; next}
+               on && !/^\|/ {exit}
+               on && !/^\|-/ {gsub(/ /, ""); print $2 "|" $3 "|" $4 "|" $5}' "$1"
+  }
+  NATIVE_GRID="dekker|all-heavy|S+|10000
+dekker|asymmetric|W+|10000
+dekker|seqcst|S+|10000
+wsq|all-heavy|S+|20000
+wsq|asymmetric|W+|20000
+wsq|seqcst|S+|20000
+ustm-counter|all-heavy|S+|5000
+ustm-counter|asymmetric|W+|5000
+ustm-counter|seqcst|S+|5000
+ustm-read|all-heavy|S+|2666
+ustm-read|asymmetric|W+|2666
+ustm-read|seqcst|S+|2666"
+  for out in "$NATIVE/stdout.txt" "$NATIVE/fallback.txt"; do
+    diff -u <(echo "$NATIVE_GRID") <(native_grid "$out")
+  done
 fi
 
 echo "== explorer smoke sweep =="

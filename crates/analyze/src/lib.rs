@@ -36,5 +36,5 @@ pub mod place;
 pub mod report;
 
 pub use cycles::{critical_cycles, digraph, extract_windows, merge_windows, WindowInfo};
-pub use lower::{lower, C11Lower, LoweredFence, Lowering};
+pub use lower::{lower, LoweredFence, Lowering};
 pub use place::{analyze, analyze_with, infer_placement, Analysis};

@@ -1,19 +1,21 @@
 //! Lowering an inferred placement to C11 for the native runtime.
 //!
 //! The simulator validates a placement against an idealized machine;
-//! shipping it means choosing a real barrier per site. C11 gives four
-//! useful strengths, and the asymmetric runtime
+//! shipping it means choosing a real barrier per site. C11 offers a
+//! compiler-only and a full `seq_cst` fence, and the asymmetric runtime
 //! (`asymfence-native`) adds the membarrier pair the paper's designs
 //! model: a *light* side (compiler barrier only — the kernel IPIs make
-//! it strong on demand) and a *heavy* side (`membarrier()` or the
-//! fallback mprotect shootdown).
+//! it strong on demand) and a *heavy* side (`membarrier()`, or
+//! `fence(SeqCst)` on the fallback backend). The lowering names them in
+//! the runtime's own vocabulary, [`C11Fence`], so a lowered site runs as
+//! it is.
 //!
 //! The mapping is per fence group, driven by the synthesized strength
 //! assignment:
 //!
 //! * **Mixed group** (some weak, some strong): the asymmetric win. Weak
-//!   sites lower to [`C11Lower::Light`], strong partners to
-//!   [`C11Lower::Heavy`] — exactly the native `FencePair` contract.
+//!   sites lower to [`C11Fence::Light`], strong partners to
+//!   [`C11Fence::Heavy`] — exactly the native `FencePair` contract.
 //! * **All-strong group**: no asymmetry to exploit; every site is an
 //!   `atomic_thread_fence(seq_cst)`.
 //! * **All-weak group**: only safe under rollback-capable designs (W+,
@@ -24,42 +26,7 @@
 //!   documents the point without hardware cost.
 
 use asymfence_common::placement::Placement;
-
-/// A C11-expressible barrier choice for one placed fence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum C11Lower {
-    /// `atomic_signal_fence(memory_order_seq_cst)` — compiler-only.
-    Compiler,
-    /// `atomic_thread_fence(memory_order_seq_cst)`.
-    SeqCst,
-    /// Asymmetric light side: compiler barrier, strength supplied by the
-    /// heavy partner's process-wide barrier.
-    Light,
-    /// Asymmetric heavy side: `membarrier()` (or the fallback shootdown).
-    Heavy,
-}
-
-impl C11Lower {
-    /// The C expression the lowering names.
-    pub fn c_expr(self) -> &'static str {
-        match self {
-            C11Lower::Compiler => "atomic_signal_fence(memory_order_seq_cst)",
-            C11Lower::SeqCst => "atomic_thread_fence(memory_order_seq_cst)",
-            C11Lower::Light => "asf_light() /* compiler barrier + heavy partner */",
-            C11Lower::Heavy => "asf_heavy() /* membarrier or shootdown */",
-        }
-    }
-
-    /// Short report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            C11Lower::Compiler => "compiler",
-            C11Lower::SeqCst => "seq_cst",
-            C11Lower::Light => "light",
-            C11Lower::Heavy => "heavy",
-        }
-    }
-}
+use asymfence_native::C11Fence;
 
 /// One site's lowering.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +36,7 @@ pub struct LoweredFence {
     /// The placement label (`t0@0x40`).
     pub label: String,
     /// The chosen barrier.
-    pub lower: C11Lower,
+    pub lower: C11Fence,
 }
 
 /// A whole placement lowered to C11.
@@ -77,8 +44,8 @@ pub struct LoweredFence {
 pub struct Lowering {
     /// Per-site choices, in placement order.
     pub fences: Vec<LoweredFence>,
-    /// Whether any group lowered asymmetrically (drives the native
-    /// `C11Pair` choice: asymmetric pairs need the membarrier backend).
+    /// Whether any group lowered asymmetrically (a light/heavy native
+    /// `FencePair`, which needs the membarrier backend to pay off).
     pub asymmetric: bool,
 }
 
@@ -96,20 +63,20 @@ pub fn lower(placement: &Placement, groups: &[Vec<usize>], mask: u64) -> Lowerin
     for (i, f) in placement.fences.iter().enumerate() {
         let weak = mask & (1 << i) != 0;
         let lower = if !grouped[i] {
-            C11Lower::Compiler
+            C11Fence::Compiler
         } else {
             let group = groups.iter().find(|g| g.contains(&i)).unwrap();
             let weak_bits = group.iter().filter(|&&j| mask & (1 << j) != 0).count();
             if weak_bits == 0 || weak_bits == group.len() {
                 // All-strong (no asymmetry) or all-weak (needs rollback,
                 // inexpressible in C11): SeqCst everywhere.
-                C11Lower::SeqCst
+                C11Fence::SeqCst
             } else if weak {
                 asymmetric = true;
-                C11Lower::Light
+                C11Fence::Light
             } else {
                 asymmetric = true;
-                C11Lower::Heavy
+                C11Fence::Heavy
             }
         };
         fences.push(LoweredFence {
@@ -148,41 +115,27 @@ mod tests {
     fn mixed_group_lowers_asymmetrically() {
         let l = lower(&placement(2), &[vec![0, 1]], 0b01);
         assert!(l.asymmetric);
-        assert_eq!(l.fences[0].lower, C11Lower::Light);
-        assert_eq!(l.fences[1].lower, C11Lower::Heavy);
+        assert_eq!(l.fences[0].lower, C11Fence::Light);
+        assert_eq!(l.fences[1].lower, C11Fence::Heavy);
     }
 
     #[test]
     fn all_strong_group_lowers_to_seqcst() {
         let l = lower(&placement(2), &[vec![0, 1]], 0);
         assert!(!l.asymmetric);
-        assert!(l.fences.iter().all(|f| f.lower == C11Lower::SeqCst));
+        assert!(l.fences.iter().all(|f| f.lower == C11Fence::SeqCst));
     }
 
     #[test]
     fn all_weak_group_is_conservative_seqcst() {
         let l = lower(&placement(2), &[vec![0, 1]], 0b11);
         assert!(!l.asymmetric);
-        assert!(l.fences.iter().all(|f| f.lower == C11Lower::SeqCst));
+        assert!(l.fences.iter().all(|f| f.lower == C11Fence::SeqCst));
     }
 
     #[test]
     fn ungrouped_site_needs_only_a_compiler_barrier() {
         let l = lower(&placement(3), &[vec![0, 1]], 0b001);
-        assert_eq!(l.fences[2].lower, C11Lower::Compiler);
-    }
-
-    #[test]
-    fn c_exprs_are_distinct() {
-        let exprs: std::collections::HashSet<&str> = [
-            C11Lower::Compiler,
-            C11Lower::SeqCst,
-            C11Lower::Light,
-            C11Lower::Heavy,
-        ]
-        .iter()
-        .map(|l| l.c_expr())
-        .collect();
-        assert_eq!(exprs.len(), 4);
+        assert_eq!(l.fences[2].lower, C11Fence::Compiler);
     }
 }

@@ -60,7 +60,7 @@ fn inferred_groups_match_hand_annotation_structure_on_all_twins() {
 
         let it: Vec<usize> = a.placement.fences.iter().map(|f| f.thread).collect();
         let ht: Vec<usize> = hand.iter().map(|s| s.thread).collect();
-        let ig = groups::fence_groups_of(&a.placement.fences, a.placement.line_bytes);
+        let ig = groups::fence_groups(&a.placement.fences, a.placement.line_bytes);
         let hg = groups::fence_groups(&hand, cfg.line_bytes);
         assert_eq!(
             group_shape(&it, &ig),
@@ -69,7 +69,7 @@ fn inferred_groups_match_hand_annotation_structure_on_all_twins() {
             k.name()
         );
 
-        let ie = groups::conflict_edges_of(&a.placement.fences, a.placement.line_bytes);
+        let ie = groups::conflict_edges(&a.placement.fences, a.placement.line_bytes);
         let he = groups::conflict_edges(&hand, cfg.line_bytes);
         assert_eq!(
             edge_shape(&it, &ie),

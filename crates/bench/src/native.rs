@@ -2,27 +2,23 @@
 //! `native_bench` binary).
 //!
 //! Runs the native ports of the kernels the simulator studies — dekker,
-//! the THE deque, and two TLRW STM profiles — under every
-//! [`PairKind`], measures wall-clock per protocol operation, and (with
-//! `--crossval`) joins the native ranking against the simulator's
+//! the THE deque, and two TLRW STM profiles — under every pair of
+//! [`FencePair::ALL`], measures wall-clock per protocol operation, and
+//! (with `--crossval`) joins the native ranking against the simulator's
 //! cycle ranking for the corresponding workload: native
-//! [`Asymmetric`]-vs-[`AllHeavy`] is the silicon analogue of the
-//! simulated W+-vs-S+ comparison.
+//! [`FencePair::ASYMMETRIC`]-vs-[`FencePair::ALL_HEAVY`] is the silicon
+//! analogue of the simulated W+-vs-S+ comparison.
 //!
 //! Every kernel also self-checks (mutual exclusion witnesses, task
 //! conservation, lost-update counts); any violation fails the run, so
 //! the benchmark doubles as a litmus smoke test for the fence backend.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use asymfence::prelude::FenceDesign;
 use asymfence_common::cli::{Args, Usage};
 use asymfence_common::telemetry::{self, label_from_path, BenchSnapshot, MetricEntry, Stopwatch};
-use asymfence_native::{
-    backend, heavy_fence_cost_ns, AllHeavy, Asymmetric, FenceBackend, FencePair, HwSeqCst,
-    PairKind, TheDeque, TlrwStm,
-};
+use asymfence_native::{backend, heavy_fence_cost_ns, FenceBackend, FencePair, KernelRun};
 use asymfence_workloads::sites::SiteBench;
 use asymfence_workloads::ustm::UstmBench;
 
@@ -91,181 +87,36 @@ pub struct NativeRow {
     /// Which kernel ran.
     pub kernel: NativeKernel,
     /// Which fence pair it ran under.
-    pub pair: PairKind,
-    /// Protocol operations completed (deterministic per kernel).
-    pub ops: u64,
+    pub pair: FencePair,
+    /// The kernel's counts: ops (deterministic per kernel), aborts, and
+    /// self-check violations (must be 0).
+    pub run: KernelRun,
     /// Wall-clock for the whole kernel, ns.
     pub wall_ns: u64,
-    /// Transaction aborts (STM kernels).
-    pub aborts: u64,
-    /// Self-check failures; must be 0.
-    pub violations: u64,
 }
 
 impl NativeRow {
     /// Mean wall-clock per protocol operation.
     pub fn ns_per_op(&self) -> f64 {
-        self.wall_ns as f64 / self.ops.max(1) as f64
-    }
-}
-
-struct Counts {
-    ops: u64,
-    aborts: u64,
-    violations: u64,
-}
-
-fn bench_deque<P: FencePair>(pair: P, tasks: u64) -> Counts {
-    let q = TheDeque::new(256, pair);
-    let done = AtomicBool::new(false);
-    let (owner_sum, thief_sum) = std::thread::scope(|s| {
-        let thief = s.spawn(|| {
-            let mut sum = 0u64;
-            while !done.load(Ordering::Acquire) {
-                match q.steal() {
-                    Some(v) => sum += v,
-                    None => std::thread::yield_now(),
-                }
-            }
-            while let Some(v) = q.steal() {
-                sum += v;
-            }
-            sum
-        });
-        let mut sum = 0u64;
-        let mut next = 1u64;
-        while next <= tasks {
-            // Owner hot loop: push a small burst, take half back.
-            let burst = (tasks - next + 1).min(8);
-            let mut pushed = 0;
-            for _ in 0..burst {
-                if q.push(next) {
-                    next += 1;
-                    pushed += 1;
-                } else {
-                    break;
-                }
-            }
-            for _ in 0..pushed / 2 {
-                if let Some(v) = q.take() {
-                    sum += v;
-                }
-            }
-        }
-        while let Some(v) = q.take() {
-            sum += v;
-        }
-        done.store(true, Ordering::Release);
-        (sum, thief.join().unwrap())
-    });
-    let expect = tasks * (tasks + 1) / 2;
-    Counts {
-        ops: 2 * tasks, // each task enqueued once and dequeued once
-        aborts: 0,
-        violations: u64::from(owner_sum + thief_sum != expect),
-    }
-}
-
-fn bench_ustm_counter<P: FencePair>(pair: P, per_thread: u64) -> Counts {
-    let stm = TlrwStm::new(2, 2, pair);
-    let aborts: u64 = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..2)
-            .map(|tid| {
-                let stm = &stm;
-                s.spawn(move || {
-                    let mut aborts = 0u64;
-                    for _ in 0..per_thread {
-                        let (_, a) = stm.run(tid, |tx| {
-                            let v = tx.read(0)?;
-                            tx.write(0, v + 1)
-                        });
-                        aborts += a;
-                    }
-                    aborts
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
-    Counts {
-        ops: 2 * per_thread,
-        aborts,
-        violations: u64::from(stm.peek(0) != 2 * per_thread),
-    }
-}
-
-fn bench_ustm_read<P: FencePair>(pair: P, per_thread: u64) -> Counts {
-    const LOCS: usize = 64;
-    let stm = TlrwStm::new(LOCS, 2, pair);
-    let aborts: u64 = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..2usize)
-            .map(|tid| {
-                let stm = &stm;
-                s.spawn(move || {
-                    // Read-dominated ReadNWrite1 shape: 8 reads across
-                    // the whole array, one write into the thread's own
-                    // half (read-write conflicts only).
-                    let mut rng = 0x9e37_79b9 ^ (tid as u64) << 32 | 1;
-                    let mut aborts = 0u64;
-                    for _ in 0..per_thread {
-                        let (_, a) = stm.run(tid, |tx| {
-                            let mut acc = 0u64;
-                            for _ in 0..8 {
-                                rng ^= rng << 13;
-                                rng ^= rng >> 7;
-                                rng ^= rng << 17;
-                                acc = acc.wrapping_add(tx.read(rng as usize % LOCS)?);
-                            }
-                            let dst = LOCS / 2 * tid + (rng as usize % (LOCS / 2));
-                            tx.write(dst, acc)
-                        });
-                        aborts += a;
-                    }
-                    aborts
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
-    Counts {
-        ops: 2 * per_thread,
-        aborts,
-        violations: 0, // conservation is covered by the counter kernel
-    }
-}
-
-fn run_with_pair<P: FencePair>(kernel: NativeKernel, pair: P, iters: u64) -> Counts {
-    match kernel {
-        NativeKernel::Dekker => {
-            let r = asymfence_native::dekker(pair, iters);
-            Counts {
-                ops: r.ops,
-                aborts: 0,
-                violations: r.violations,
-            }
-        }
-        NativeKernel::Deque => bench_deque(pair, iters),
-        NativeKernel::UstmCounter => bench_ustm_counter(pair, iters),
-        NativeKernel::UstmRead => bench_ustm_read(pair, iters),
+        self.wall_ns as f64 / self.run.ops.max(1) as f64
     }
 }
 
 /// Runs one (kernel, pair) cell and times it.
-pub fn run_cell(kernel: NativeKernel, pair: PairKind, quick: bool) -> NativeRow {
+pub fn run_cell(kernel: NativeKernel, pair: FencePair, quick: bool) -> NativeRow {
     let iters = kernel.iters(quick);
     let start = Instant::now();
-    let counts = match pair {
-        PairKind::AllHeavy => run_with_pair(kernel, AllHeavy, iters),
-        PairKind::Asymmetric => run_with_pair(kernel, Asymmetric, iters),
-        PairKind::HwSeqCst => run_with_pair(kernel, HwSeqCst, iters),
+    let run = match kernel {
+        NativeKernel::Dekker => asymfence_native::dekker(pair, iters),
+        NativeKernel::Deque => asymfence_native::deque_churn(pair, iters),
+        NativeKernel::UstmCounter => asymfence_native::tlrw_counter(pair, iters),
+        NativeKernel::UstmRead => asymfence_native::tlrw_read_mix(pair, iters),
     };
     NativeRow {
         kernel,
         pair,
-        ops: counts.ops,
+        run,
         wall_ns: start.elapsed().as_nanos() as u64,
-        aborts: counts.aborts,
-        violations: counts.violations,
     }
 }
 
@@ -370,9 +221,9 @@ fn snapshot(
     for row in rows {
         let mut e = MetricEntry::new("native", row.kernel.name(), row.pair.name());
         e.runs = 1;
-        e.ops = row.ops;
+        e.ops = row.run.ops;
         if !deterministic {
-            e.aborts = row.aborts;
+            e.aborts = row.run.aborts;
             e.wall_ns = row.wall_ns;
             e.task_wall_min_ns = row.wall_ns;
             e.task_wall_max_ns = row.wall_ns;
@@ -409,7 +260,7 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
 
     let mut rows = Vec::new();
     for kernel in NativeKernel::ALL {
-        for pair in PairKind::ALL {
+        for pair in FencePair::ALL {
             rows.push(run_cell(kernel, pair, opts.quick));
         }
     }
@@ -428,10 +279,10 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
             r.kernel.name().to_string(),
             r.pair.name().to_string(),
             r.pair.sim_design().to_string(),
-            r.ops.to_string(),
+            r.run.ops.to_string(),
             format!("{:.1}", r.ns_per_op()),
-            r.aborts.to_string(),
-            r.violations.to_string(),
+            r.run.aborts.to_string(),
+            r.run.violations.to_string(),
         ]);
     }
     println!("{}", t.to_markdown());
@@ -456,14 +307,14 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
             "verdict",
         ]);
         for kernel in NativeKernel::ALL {
-            let ns = |pair: PairKind| {
+            let ns = |pair: FencePair| {
                 rows.iter()
                     .find(|r| r.kernel == kernel && r.pair == pair)
                     .map(NativeRow::ns_per_op)
                     .unwrap_or(0.0)
             };
-            let native_speedup = ns(PairKind::AllHeavy) / ns(PairKind::Asymmetric);
-            let native_vs_seqcst = ns(PairKind::HwSeqCst) / ns(PairKind::Asymmetric);
+            let native_speedup = ns(FencePair::ALL_HEAVY) / ns(FencePair::ASYMMETRIC);
+            let native_vs_seqcst = ns(FencePair::SEQCST) / ns(FencePair::ASYMMETRIC);
             let s_cost = sim_cost(kernel, FenceDesign::SPlus, opts.quick);
             let w_speedup = s_cost / sim_cost(kernel, FenceDesign::WPlus, opts.quick);
             let ws_speedup = s_cost / sim_cost(kernel, FenceDesign::WsPlus, opts.quick);
@@ -501,7 +352,7 @@ pub fn main_impl(opts: &NativeOpts) -> i32 {
         }
     }
 
-    let violations: u64 = rows.iter().map(|r| r.violations).sum();
+    let violations: u64 = rows.iter().map(|r| r.run.violations).sum();
     if violations > 0 {
         eprintln!("FATAL: {violations} kernel self-check violation(s)");
         1
@@ -517,9 +368,9 @@ mod tests {
     #[test]
     fn cells_self_check_cleanly() {
         for kernel in NativeKernel::ALL {
-            let r = run_cell(kernel, PairKind::Asymmetric, true);
-            assert_eq!(r.violations, 0, "{}", kernel.name());
-            assert!(r.ops > 0);
+            let r = run_cell(kernel, FencePair::ASYMMETRIC, true);
+            assert_eq!(r.run.violations, 0, "{}", kernel.name());
+            assert!(r.run.ops > 0);
             assert!(r.wall_ns > 0);
         }
     }
@@ -571,11 +422,13 @@ mod tests {
     fn deterministic_snapshots_mask_aborts() {
         let row = |aborts| NativeRow {
             kernel: NativeKernel::UstmRead,
-            pair: PairKind::Asymmetric,
-            ops: 100,
+            pair: FencePair::ASYMMETRIC,
+            run: KernelRun {
+                ops: 100,
+                aborts,
+                violations: 0,
+            },
             wall_ns: 5_000,
-            aborts,
-            violations: 0,
         };
         let since = Stopwatch::start();
         let a = snapshot(&[row(2)], true, "a", &since, true);

@@ -472,8 +472,9 @@ fn with_memory_counters(mem: &MemSystem, i: usize, mut s: CoreStats) -> CoreStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asymfence_common::config::FenceDesign;
+    use asymfence_common::config::{FenceDesign, Perturbation};
     use asymfence_common::rng::SimRng;
+    use asymfence_common::schedule::{SchedulePlan, ScheduleQuanta, ScheduleScript};
     use asymfence_cpu::program::{FenceRole, Instr, ScriptProgram};
 
     const DESIGNS: [FenceDesign; 5] = [
@@ -629,6 +630,120 @@ mod tests {
         }
     }
 
+    /// A random schedule plan: natural, a seeded perturbation, or a
+    /// random arity-2 decision vector.
+    fn random_plan(rng: &mut SimRng) -> SchedulePlan {
+        match rng.below(3) {
+            0 => SchedulePlan::default(),
+            1 => SchedulePlan::Seeded(Perturbation {
+                seed: rng.next_u64(),
+                noc_jitter: 48,
+                wb_stall: 96,
+                inval_delay: 48,
+            }),
+            _ => SchedulePlan::Scripted(ScheduleScript {
+                decisions: (0..rng.below(24)).map(|_| rng.below(2) as u8).collect(),
+                ..ScheduleScript::natural(ScheduleQuanta::default(), 2)
+            }),
+        }
+    }
+
+    /// Fig 3a's crossed weak fences leave a store stuck in the write
+    /// buffers of cores 0 and 1 while core 2 counts down a long compute
+    /// block: a store-drain livelock, under a 5,000-cycle watchdog.
+    fn livelock_case() -> (Arc<MachineConfig>, Vec<Vec<Instr>>) {
+        let cfg = MachineConfig::builder()
+            .cores(3)
+            .fence_design(FenceDesign::WfOnlyUnsafe)
+            .watchdog_cycles(5_000)
+            .build();
+        let mut programs = fig3a_sides();
+        programs.push(vec![
+            Instr::Compute { cycles: 1_000_000 },
+            Instr::Load {
+                addr: Addr::new(0x2000),
+                tag: Some(1),
+            },
+        ]);
+        (Arc::new(cfg), programs)
+    }
+
+    /// Runs `programs` on `m`, reset to `cfg`, and on a fresh machine
+    /// built from `cfg`, and checks they agree on outcome, clock,
+    /// statistics, SCV log, fence tallies, schedule recording and trace.
+    fn assert_reset_runs_fresh(
+        m: &mut Machine,
+        cfg: &Arc<MachineConfig>,
+        programs: &[Vec<Instr>],
+        case: &str,
+    ) {
+        let observe = |m: &mut Machine| {
+            let outcome = m.run(1_000_000);
+            let book = m.fence_book();
+            (
+                outcome,
+                m.now(),
+                m.stats(),
+                m.scv_log().map(|log| log.events.clone()),
+                (book.tallies().clone(), book.unattributed_bounces()),
+                m.take_schedule_recording(),
+                m.take_trace().is_some(),
+            )
+        };
+        assert!(m.reset(cfg), "{case}: same shape must reuse");
+        for p in programs {
+            m.add_thread(Box::new(ScriptProgram::new(p.clone()).0));
+        }
+        let mut fresh = machine_with(cfg, programs);
+        assert_eq!(observe(m), observe(&mut fresh), "{case}");
+    }
+
+    /// A machine run under one design and plan, often stopped mid-run
+    /// with messages in flight, then reset to another design and plan of
+    /// the same shape, runs its next program exactly like a freshly
+    /// built machine. So does one whose watchdog fired.
+    #[test]
+    fn reset_machine_runs_like_a_fresh_one() {
+        let mut rng = SimRng::new(25);
+        let cfg = |design, plan, trace| {
+            Arc::new(
+                MachineConfig::builder()
+                    .cores(3)
+                    .fence_design(design)
+                    .schedule(plan)
+                    .record_scv_log(true)
+                    .record_trace(trace)
+                    .build(),
+            )
+        };
+        for (i, design_a) in DESIGNS.into_iter().enumerate() {
+            for design_b in [design_a, DESIGNS[(i + 1) % DESIGNS.len()]] {
+                for _ in 0..4 {
+                    let a = cfg(design_a, random_plan(&mut rng), rng.chance(0.5));
+                    let programs: Vec<_> = (0..3).map(|c| mixed_program(&mut rng, c)).collect();
+                    let mut m = machine_with(&a, &programs);
+                    m.run(rng.range(50, 4_000));
+
+                    let b = cfg(design_b, random_plan(&mut rng), false);
+                    let programs: Vec<_> = (0..rng.range(1, 3))
+                        .map(|c| mixed_program(&mut rng, c as usize))
+                        .collect();
+                    let case = format!("{design_a:?} -> {design_b:?}");
+                    assert_reset_runs_fresh(&mut m, &b, &programs, &case);
+                }
+            }
+        }
+        let (livelock, programs) = livelock_case();
+        for design in DESIGNS {
+            let mut m = machine_with(&livelock, &programs);
+            assert_eq!(m.run(1_000_000), RunOutcome::Deadlocked);
+            let b = cfg(design, random_plan(&mut rng), false);
+            let next: Vec<_> = (0..3).map(|c| mixed_program(&mut rng, c)).collect();
+            assert_reset_runs_fresh(&mut m, &b, &next, &format!("livelock -> {design:?}"));
+            assert_reset_runs_fresh(&mut m, &livelock, &programs, "livelock again");
+        }
+    }
+
     #[test]
     fn stopping_mid_countdown_harvests_lockstep_stats() {
         let cfg = MachineConfig::builder().cores(2).build();
@@ -759,25 +874,11 @@ mod tests {
 
     #[test]
     fn store_livelock_is_caught_on_time_while_a_core_counts_down() {
-        // Fig 3a's crossed weak fences leave a store stuck in the write
-        // buffers of cores 0 and 1, while core 2 counts down a long
-        // compute block: every step makes progress, so the watchdog
-        // reports a store-drain livelock. It must fire in the progress
-        // step where lock-step ticking runs the livelock check, not at
-        // the next step the kernel happens to execute.
-        let cfg = MachineConfig::builder()
-            .cores(3)
-            .fence_design(FenceDesign::WfOnlyUnsafe)
-            .watchdog_cycles(5_000)
-            .build();
-        let mut programs = fig3a_sides();
-        programs.push(vec![
-            Instr::Compute { cycles: 1_000_000 },
-            Instr::Load {
-                addr: Addr::new(0x2000),
-                tag: Some(1),
-            },
-        ]);
+        // Every step of the livelock case makes progress, so the
+        // watchdog reports a store-drain livelock. It must fire in the
+        // progress step where lock-step ticking runs the livelock check,
+        // not at the next step the kernel happens to execute.
+        let (cfg, programs) = livelock_case();
         let mut m = machine_with(&cfg, &programs);
         assert_eq!(m.run(1_000_000), RunOutcome::Deadlocked);
         // Both figures are lock-step ticking's (the kernel before compute

@@ -398,8 +398,10 @@ impl Explorer {
     }
 
     /// Checks whether a candidate still fails, trying `seed` first and
-    /// then a small window of seeds from 0 up. Returns the reproducing
-    /// seed and failure, charging each run against `runs_left`.
+    /// then a small window of seeds from 0 up (skipped for a candidate
+    /// with no contested line, which cannot fail). Returns the
+    /// reproducing seed and failure, charging each run against
+    /// `runs_left`.
     fn refails(
         &self,
         scenario: &Scenario,
@@ -416,6 +418,11 @@ impl Explorer {
         };
         if let Some(hit) = try_seed(seed, runs_left) {
             return Some(hit);
+        }
+        // With no line two threads touch there is no conflicting access,
+        // so no SC cycle and no bounce: no seed can make it fail.
+        if contested_lines(scenario).is_empty() {
+            return None;
         }
         for s in 0..self.cfg.shrink_seed_window {
             if s == seed {

@@ -216,16 +216,22 @@ fn shrinking_stops_when_its_budget_is_spent() {
   T0 [NonCritical]: Cp 400; St s2; St s0; Ld s1
   T1 [NonCritical]: Ld s0; Cp 400; St s3; St s1; Ld s0
 ";
-    // (budget, sampled runs, sampled scenario, exhaustive runs,
-    // exhaustive scenario). The natural schedule already fails, so the
-    // sweep charges 1 run (seed 0) and the walk 1 (the root).
+    const TWO_OPS_LESS: &str = "scenario `sb-padded` (2 threads):
+  T0 [NonCritical]: St s2; St s0; Ld s1
+  T1 [NonCritical]: Ld s0; Cp 400; St s3; St s1; Ld s0
+";
+    // (budget, sampled runs, sampled witness seed, sampled scenario,
+    // exhaustive runs, exhaustive scenario). The natural schedule
+    // already fails, so the sweep charges 1 run (seed 0) and the walk 1
+    // (the root). A candidate with no contested line costs both modes
+    // one run, so they agree until the budget lets them diverge.
     let rows = [
-        (1, 2, PADDED, 2, PADDED),
-        (5, 6, PADDED, 6, NO_BYSTANDER),
-        (40, 41, NO_BYSTANDER, 41, ONE_OP_LESS),
+        (1, 2, 0, PADDED, 2, PADDED),
+        (5, 6, 0, NO_BYSTANDER, 6, NO_BYSTANDER),
+        (40, 41, 1, TWO_OPS_LESS, 41, ONE_OP_LESS),
     ];
     let sc = Scenario::store_buffering_padded().with_roles_for(FenceDesign::SPlus);
-    for (budget, sampled_runs, sampled_sc, exh_runs, exh_sc) in rows {
+    for (budget, sampled_runs, sampled_seed, sampled_sc, exh_runs, exh_sc) in rows {
         let cfg = ExploreConfig {
             seeds: 64,
             max_shrink_runs: budget,
@@ -237,7 +243,7 @@ fn shrinking_stops_when_its_budget_is_spent() {
         assert_eq!(r.runs, sampled_runs, "sampled, budget {budget}");
         assert_eq!(
             (cex.found_seed, cex.seed),
-            (0, 0),
+            (0, sampled_seed),
             "sampled, budget {budget}"
         );
         assert_eq!(

@@ -1,15 +1,14 @@
 //! Native port of the THE work-stealing deque from
-//! `asymfence-workloads`' simulated version, parameterized over a
-//! [`FencePair`].
+//! `asymfence-workloads`' simulated version, fenced by a [`FencePair`].
 //!
 //! The owner's `take` is the hot path: it runs the classic THE
 //! store→fence→load window (publish the decremented tail, fence, read
-//! the head) with the *critical* fence, so under [`crate::Asymmetric`]
-//! the owner never executes a hardware fence. Thieves serialize on a
-//! mutex and run the mirrored window (publish the incremented head,
-//! fence, read the tail) with the *non-critical* fence — under the
-//! membarrier backend the thief's heavy fence is what makes the owner's
-//! compiler-only fence sound.
+//! the head) with the *critical* fence, so under
+//! [`FencePair::ASYMMETRIC`] the owner never executes a hardware fence.
+//! Thieves serialize on a mutex and run the mirrored window (publish the
+//! incremented head, fence, read the tail) with the *non-critical*
+//! fence — under the membarrier backend the thief's heavy fence is what
+//! makes the owner's compiler-only fence sound.
 //!
 //! One deviation from the simulated port: the simulator models a TSO
 //! machine, where the owner's `push` needs no fence between the slot
@@ -41,27 +40,27 @@ const EMPTY: u64 = u64::MAX;
 /// stress tests), never as undefined behaviour.
 ///
 /// ```
-/// use asymfence_native::{Asymmetric, TheDeque};
-/// let q = TheDeque::new(8, Asymmetric);
+/// use asymfence_native::{FencePair, TheDeque};
+/// let q = TheDeque::new(8, FencePair::ASYMMETRIC);
 /// assert!(q.push(7));
 /// assert_eq!(q.take(), Some(7));
 /// assert_eq!(q.steal(), None);
 /// ```
-pub struct TheDeque<P: FencePair> {
+pub struct TheDeque {
     head: AtomicU64,
     tail: AtomicU64,
     lock: Mutex<()>,
     slots: Box<[AtomicU64]>,
-    pair: P,
+    pair: FencePair,
 }
 
-impl<P: FencePair> TheDeque<P> {
+impl TheDeque {
     /// An empty deque with room for `capacity` outstanding tasks.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is 0.
-    pub fn new(capacity: usize, pair: P) -> Self {
+    pub fn new(capacity: usize, pair: FencePair) -> Self {
         assert!(capacity > 0, "deque capacity must be nonzero");
         TheDeque {
             head: AtomicU64::new(0),
@@ -120,7 +119,7 @@ impl<P: FencePair> TheDeque<P> {
         }
         let t = t - 1;
         self.tail.store(t, Ordering::Relaxed);
-        self.pair.critical();
+        self.pair.critical.issue();
         let h = self.head.load(Ordering::Relaxed);
         if h <= t {
             // More than one task, or we won the race for the last one:
@@ -149,7 +148,7 @@ impl<P: FencePair> TheDeque<P> {
         let _guard = self.lock.lock().unwrap();
         let h = self.head.load(Ordering::Relaxed);
         self.head.store(h + 1, Ordering::Relaxed);
-        self.pair.noncritical();
+        self.pair.noncritical.issue();
         let t = self.tail.load(Ordering::Acquire);
         if h + 1 > t {
             self.head.store(h, Ordering::Relaxed); // lost the race: undo
@@ -174,12 +173,11 @@ impl<P: FencePair> TheDeque<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair::{AllHeavy, Asymmetric, HwSeqCst};
-    use std::sync::atomic::AtomicBool;
+    use crate::kernels::deque_churn;
 
     #[test]
     fn lifo_for_owner_fifo_for_thief() {
-        let q = TheDeque::new(8, Asymmetric);
+        let q = TheDeque::new(8, FencePair::ASYMMETRIC);
         assert!(q.is_empty());
         for task in [10, 11, 12] {
             assert!(q.push(task));
@@ -194,7 +192,7 @@ mod tests {
 
     #[test]
     fn push_rejects_overflow() {
-        let q = TheDeque::new(2, AllHeavy);
+        let q = TheDeque::new(2, FencePair::ALL_HEAVY);
         assert!(q.push(1));
         assert!(q.push(2));
         assert!(!q.push(3));
@@ -203,54 +201,11 @@ mod tests {
     }
 
     /// Two-thread stress: every pushed task is taken or stolen exactly
-    /// once. Catches lost/duplicated tasks across the fence window.
-    fn stress<P: FencePair>(pair: P, tasks: u64) {
-        let q = TheDeque::new(64, pair);
-        let done = AtomicBool::new(false);
-        let (owner_sum, thief_sum) = std::thread::scope(|s| {
-            let thief = s.spawn(|| {
-                let mut sum = 0u64;
-                while !done.load(Ordering::Acquire) {
-                    match q.steal() {
-                        Some(v) => sum += v,
-                        None => std::thread::yield_now(),
-                    }
-                }
-                while let Some(v) = q.steal() {
-                    sum += v;
-                }
-                sum
-            });
-            let mut sum = 0u64;
-            let mut next = 1u64;
-            while next <= tasks {
-                let burst = (tasks - next + 1).min(13);
-                for _ in 0..burst {
-                    if q.push(next) {
-                        next += 1;
-                    } else {
-                        break;
-                    }
-                }
-                for _ in 0..burst / 2 {
-                    if let Some(v) = q.take() {
-                        sum += v;
-                    }
-                }
-            }
-            while let Some(v) = q.take() {
-                sum += v;
-            }
-            done.store(true, Ordering::Release);
-            (sum, thief.join().unwrap())
-        });
-        assert_eq!(owner_sum + thief_sum, tasks * (tasks + 1) / 2);
-    }
-
+    /// once across the fence window.
     #[test]
     fn stress_all_pairs() {
-        stress(AllHeavy, 2_000);
-        stress(Asymmetric, 2_000);
-        stress(HwSeqCst, 2_000);
+        for pair in FencePair::ALL {
+            assert_eq!(deque_churn(pair, 2_000).violations, 0, "{}", pair.name());
+        }
     }
 }

@@ -11,27 +11,33 @@
 //!
 //! # Design correspondence
 //!
-//! Protocols are parameterized over a [`FencePair`], which assigns a
-//! real fence to each of the two static roles the simulated designs
-//! annotate:
+//! Protocols take a [`FencePair`]: two [`C11Fence`]s, one for each of
+//! the two static roles the simulated designs annotate. The report grid
+//! is three constant pairs ([`FencePair::ALL`]):
 //!
 //! | pair | critical (hot) site | non-critical (rare) site | simulated design |
 //! |------|---------------------|--------------------------|------------------|
-//! | [`AllHeavy`] | heavy | heavy | S+ (all strong) |
-//! | [`Asymmetric`] | light | heavy | W+ / WS+ (weak hot side) |
-//! | [`HwSeqCst`] | `fence(SeqCst)` | `fence(SeqCst)` | S+ (portable control) |
+//! | [`FencePair::ALL_HEAVY`] | heavy | heavy | S+ (all strong) |
+//! | [`FencePair::ASYMMETRIC`] | light | heavy | W+ / WS+ (weak hot side) |
+//! | [`FencePair::SEQCST`] | `fence(SeqCst)` | `fence(SeqCst)` | S+ (portable control) |
+//!
+//! An analyzer lowering (`asymfence-analyze`'s `lower`) names the same
+//! [`C11Fence`]s per site, so a computed placement runs as a pair built
+//! from its two sites' fences.
 //!
 //! Two of the simulator's workloads are ported natively on top of the
 //! pair: the THE work-stealing deque ([`TheDeque`]) and the TLRW STM
-//! ([`TlrwStm`]), plus the mutual-exclusion/litmus kernels
-//! ([`dekker`], [`sb_hammer`], [`mp_hammer`]) used by the
-//! `native_bench` cross-validation harness and the litmus tests.
+//! ([`TlrwStm`]). Three kernels drive them ([`deque_churn`],
+//! [`tlrw_counter`], [`tlrw_read_mix`]) next to the mutual-exclusion and
+//! litmus kernels ([`dekker`], [`peterson`], [`sb_hammer`],
+//! [`mp_hammer`]); the `native_bench` cross-validation harness and the
+//! litmus tests call these seven and keep no driver of their own.
 //!
 //! ```
-//! use asymfence_native::{backend, Asymmetric, TheDeque};
+//! use asymfence_native::{backend, FencePair, TheDeque};
 //!
 //! println!("heavy fence backed by: {}", backend().label());
-//! let q = TheDeque::new(16, Asymmetric);
+//! let q = TheDeque::new(16, FencePair::ASYMMETRIC);
 //! q.push(1);
 //! q.push(2);
 //! assert_eq!(q.take(), Some(2)); // owner pays only a compiler fence
@@ -47,6 +53,8 @@ mod stm;
 
 pub use backend::{backend, heavy_fence, heavy_fence_cost_ns, light_fence, FenceBackend};
 pub use deque::TheDeque;
-pub use kernels::{dekker, mp_hammer, peterson, sb_hammer, KernelRun};
-pub use pair::{AllHeavy, Asymmetric, C11Fence, C11Pair, FencePair, HwSeqCst, PairKind};
+pub use kernels::{
+    dekker, deque_churn, mp_hammer, peterson, sb_hammer, tlrw_counter, tlrw_read_mix, KernelRun,
+};
+pub use pair::{C11Fence, FencePair};
 pub use stm::{Conflict, TlrwStm, Tx};

@@ -1,13 +1,12 @@
 //! Native port of the TLRW (read/write-lock) STM from
-//! `asymfence-workloads`' simulated version, parameterized over a
-//! [`FencePair`].
+//! `asymfence-workloads`' simulated version, fenced by a [`FencePair`].
 //!
 //! TLRW's read barrier is the asymmetric hot path: announce the reader
 //! flag, *critical* fence, check the writer word. The write barrier is
 //! the rare side: acquire the writer word, *non-critical* fence, scan
-//! every reader flag. Under [`crate::Asymmetric`] with the membarrier
-//! backend a read-only transaction therefore executes zero hardware
-//! fences — the writer's membarrier is what makes the reader's
+//! every reader flag. Under [`FencePair::ASYMMETRIC`] with the
+//! membarrier backend a read-only transaction therefore executes zero
+//! hardware fences — the writer's membarrier is what makes the reader's
 //! store→load window sound (the paper's motivating example).
 //!
 //! Writes are buffered in the transaction and applied at commit (lazy
@@ -37,8 +36,8 @@ struct TVar {
 /// read flags and a writer word, TLRW-style.
 ///
 /// ```
-/// use asymfence_native::{Asymmetric, TlrwStm};
-/// let stm = TlrwStm::new(4, 2, Asymmetric);
+/// use asymfence_native::{FencePair, TlrwStm};
+/// let stm = TlrwStm::new(4, 2, FencePair::ASYMMETRIC);
 /// let (sum, _aborts) = stm.run(0, |tx| {
 ///     let a = tx.read(0)?;
 ///     tx.write(1, a + 1)?;
@@ -47,20 +46,20 @@ struct TVar {
 /// assert_eq!(sum, 1);
 /// assert_eq!(stm.peek(1), 1);
 /// ```
-pub struct TlrwStm<P: FencePair> {
+pub struct TlrwStm {
     locs: Box<[TVar]>,
     threads: usize,
-    pair: P,
+    pair: FencePair,
 }
 
-impl<P: FencePair> TlrwStm<P> {
+impl TlrwStm {
     /// `locations` zero-initialized cells shared by `threads` threads
     /// (thread ids `0..threads`).
     ///
     /// # Panics
     ///
     /// Panics when either count is 0.
-    pub fn new(locations: usize, threads: usize, pair: P) -> Self {
+    pub fn new(locations: usize, threads: usize, pair: FencePair) -> Self {
         assert!(locations > 0 && threads > 0);
         TlrwStm {
             locs: (0..locations)
@@ -91,7 +90,7 @@ impl<P: FencePair> TlrwStm<P> {
     /// # Panics
     ///
     /// Panics when `tid` is out of range.
-    pub fn begin(&self, tid: usize) -> Tx<'_, P> {
+    pub fn begin(&self, tid: usize) -> Tx<'_> {
         assert!(tid < self.threads, "thread id out of range");
         Tx {
             stm: self,
@@ -107,7 +106,7 @@ impl<P: FencePair> TlrwStm<P> {
     pub fn run<R>(
         &self,
         tid: usize,
-        mut body: impl FnMut(&mut Tx<'_, P>) -> Result<R, Conflict>,
+        mut body: impl FnMut(&mut Tx<'_>) -> Result<R, Conflict>,
     ) -> (R, u64) {
         let mut aborts = 0u64;
         loop {
@@ -132,14 +131,14 @@ impl<P: FencePair> TlrwStm<P> {
 
 /// An in-flight transaction; dropping it without
 /// [`commit`](Tx::commit) aborts (releases all locks, applies nothing).
-pub struct Tx<'s, P: FencePair> {
-    stm: &'s TlrwStm<P>,
+pub struct Tx<'s> {
+    stm: &'s TlrwStm,
     tid: usize,
     read_set: Vec<usize>,
     write_set: Vec<(usize, u64)>,
 }
 
-impl<P: FencePair> Tx<'_, P> {
+impl Tx<'_> {
     fn wid(&self) -> u32 {
         self.tid as u32 + 1
     }
@@ -156,7 +155,7 @@ impl<P: FencePair> Tx<'_, P> {
             return Ok(cell.data.load(Ordering::Relaxed));
         }
         cell.readers[self.tid].store(1, Ordering::Relaxed);
-        self.stm.pair.critical();
+        self.stm.pair.critical.issue();
         for _ in 0..=BARRIER_PATIENCE {
             // Acquire pairs with the committing writer's Release of the
             // writer word, so the data load below can't be hoisted past
@@ -202,7 +201,7 @@ impl<P: FencePair> Tx<'_, P> {
         if !acquired {
             return Err(Conflict);
         }
-        self.stm.pair.noncritical();
+        self.stm.pair.noncritical.issue();
         // Our own reader flag (an upgrade) doesn't block us.
         for (tid, flag) in cell.readers.iter().enumerate() {
             if tid == self.tid {
@@ -226,7 +225,7 @@ impl<P: FencePair> Tx<'_, P> {
     /// release every lock (writes become visible no later than the
     /// releases).
     pub fn commit(mut self) {
-        self.stm.pair.noncritical();
+        self.stm.pair.noncritical.issue();
         for &(loc, v) in &self.write_set {
             self.stm.locs[loc].data.store(v, Ordering::Relaxed);
         }
@@ -248,7 +247,7 @@ impl<P: FencePair> Tx<'_, P> {
     }
 }
 
-impl<P: FencePair> Drop for Tx<'_, P> {
+impl Drop for Tx<'_> {
     fn drop(&mut self) {
         self.release();
     }
@@ -257,11 +256,11 @@ impl<P: FencePair> Drop for Tx<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair::{AllHeavy, Asymmetric, HwSeqCst};
+    use crate::kernels::tlrw_counter;
 
     #[test]
     fn read_your_own_write_and_commit() {
-        let stm = TlrwStm::new(3, 2, Asymmetric);
+        let stm = TlrwStm::new(3, 2, FencePair::ASYMMETRIC);
         let mut tx = stm.begin(0);
         tx.write(2, 9).unwrap();
         assert_eq!(tx.read(2).unwrap(), 9);
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn abort_on_drop_releases_locks() {
-        let stm = TlrwStm::new(2, 2, AllHeavy);
+        let stm = TlrwStm::new(2, 2, FencePair::ALL_HEAVY);
         {
             let mut tx = stm.begin(0);
             tx.write(0, 5).unwrap();
@@ -287,7 +286,7 @@ mod tests {
 
     #[test]
     fn writer_blocks_reader_into_conflict() {
-        let stm = TlrwStm::new(1, 2, HwSeqCst);
+        let stm = TlrwStm::new(1, 2, FencePair::SEQCST);
         let mut writer = stm.begin(0);
         writer.write(0, 1).unwrap();
         let mut reader = stm.begin(1);
@@ -297,28 +296,10 @@ mod tests {
     }
 
     /// Concurrent increments of one hot counter must not lose updates.
-    fn counter_stress<P: FencePair>(pair: P, per_thread: u64) {
-        let stm = TlrwStm::new(2, 2, pair);
-        std::thread::scope(|s| {
-            for tid in 0..2 {
-                let stm = &stm;
-                s.spawn(move || {
-                    for _ in 0..per_thread {
-                        stm.run(tid, |tx| {
-                            let v = tx.read(0)?;
-                            tx.write(0, v + 1)
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(stm.peek(0), 2 * per_thread);
-    }
-
     #[test]
     fn counter_stress_all_pairs() {
-        counter_stress(AllHeavy, 300);
-        counter_stress(Asymmetric, 300);
-        counter_stress(HwSeqCst, 300);
+        for pair in FencePair::ALL {
+            assert_eq!(tlrw_counter(pair, 300).violations, 0, "{}", pair.name());
+        }
     }
 }

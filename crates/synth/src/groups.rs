@@ -73,7 +73,7 @@ impl Footprint for PlacedFence {
 /// `j` with an edge `i → j`, meaning a post-fence read of site `i` may
 /// observe (or race with) a pre-fence write of site `j` on another
 /// thread.
-pub fn conflict_edges_of<F: Footprint>(sites: &[F], line_bytes: u64) -> Vec<Vec<usize>> {
+pub fn conflict_edges<F: Footprint>(sites: &[F], line_bytes: u64) -> Vec<Vec<usize>> {
     let mut adj = vec![Vec::new(); sites.len()];
     for (i, a) in sites.iter().enumerate() {
         for (j, b) in sites.iter().enumerate() {
@@ -91,11 +91,6 @@ pub fn conflict_edges_of<F: Footprint>(sites: &[F], line_bytes: u64) -> Vec<Vec<
         }
     }
     adj
-}
-
-/// [`conflict_edges_of`] over hand-annotated sites.
-pub fn conflict_edges(sites: &[SiteSpec], line_bytes: u64) -> Vec<Vec<usize>> {
-    conflict_edges_of(sites, line_bytes)
 }
 
 /// Strongly connected components of `adj` (Kosaraju), smallest member
@@ -165,16 +160,11 @@ pub fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 /// Fence groups of arbitrary footprints: SCCs of the conflict digraph
 /// with at least two members, each sorted ascending, ordered by
 /// smallest member.
-pub fn fence_groups_of<F: Footprint>(sites: &[F], line_bytes: u64) -> Vec<Vec<usize>> {
-    sccs(&conflict_edges_of(sites, line_bytes))
+pub fn fence_groups<F: Footprint>(sites: &[F], line_bytes: u64) -> Vec<Vec<usize>> {
+    sccs(&conflict_edges(sites, line_bytes))
         .into_iter()
         .filter(|g| g.len() >= 2)
         .collect()
-}
-
-/// [`fence_groups_of`] over hand-annotated sites.
-pub fn fence_groups(sites: &[SiteSpec], line_bytes: u64) -> Vec<Vec<usize>> {
-    fence_groups_of(sites, line_bytes)
 }
 
 /// Checks a weak-site mask against a design's structural constraint.

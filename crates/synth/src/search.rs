@@ -428,7 +428,7 @@ impl Synthesizer {
     ) -> SynthResult {
         let n_sites = placement.len() as u32;
         let cfg = MachineConfig::builder().cores(kernel.cores()).build();
-        let groups = groups::fence_groups_of(&placement.fences, cfg.line_bytes);
+        let groups = groups::fence_groups(&placement.fences, cfg.line_bytes);
 
         let target = Target::Inferred(kernel, placement.spec());
         let (_, _, best, stats) = self.search_masks(target, design, n_sites, &groups, trace);

@@ -18,7 +18,7 @@
 //!
 //! **Native port:** `crates/native` ships the same lock protocol on
 //! real threads as `asymfence_native::TlrwStm` (eager locking, lazy
-//! versioning so aborts need no undo log), parameterized over a
+//! versioning so aborts need no undo log), fenced by a
 //! `FencePair`: the read barrier issues the pair's critical fence, the
 //! write barrier and commit the non-critical one. `native_bench
 //! --crossval` compares its wall-clock ranking against this simulated

@@ -13,7 +13,7 @@
 //! over [`Ops`] so workloads can embed them.
 //!
 //! **Native port:** `crates/native` ships the same protocol on real
-//! threads as `asymfence_native::TheDeque`, parameterized over a
+//! threads as `asymfence_native::TheDeque`, fenced by a
 //! `FencePair` (the owner's fence site maps to the pair's critical
 //! fence, the thief's to the non-critical one); `native_bench
 //! --crossval` compares its wall-clock ranking against this simulated

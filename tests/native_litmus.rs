@@ -12,8 +12,7 @@
 //! Iteration count: `ASF_NATIVE_ITERS` (default 4000; CI raises it).
 
 use asymfence_native::{
-    backend, dekker, mp_hammer, sb_hammer, AllHeavy, Asymmetric, FencePair, HwSeqCst, TheDeque,
-    TlrwStm,
+    backend, dekker, deque_churn, mp_hammer, peterson, sb_hammer, tlrw_counter, FencePair,
 };
 
 fn iters() -> u64 {
@@ -24,7 +23,7 @@ fn iters() -> u64 {
         .unwrap_or(4_000)
 }
 
-fn sb_clean<P: FencePair>(pair: P) {
+fn sb_clean(pair: FencePair) {
     let r = sb_hammer(pair, iters());
     assert_eq!(
         r.violations,
@@ -36,7 +35,7 @@ fn sb_clean<P: FencePair>(pair: P) {
     assert_eq!(r.ops, iters());
 }
 
-fn mp_clean<P: FencePair>(pair: P) {
+fn mp_clean(pair: FencePair) {
     let r = mp_hammer(pair, iters());
     assert_eq!(
         r.violations,
@@ -52,39 +51,39 @@ fn mp_clean<P: FencePair>(pair: P) {
 /// paper's headline litmus.
 #[test]
 fn sb_asymmetric_never_violates() {
-    sb_clean(Asymmetric);
+    sb_clean(FencePair::ASYMMETRIC);
 }
 
 /// SB with both sides heavy (S+ analogue).
 #[test]
 fn sb_all_heavy_never_violates() {
-    sb_clean(AllHeavy);
+    sb_clean(FencePair::ALL_HEAVY);
 }
 
 /// SB with the portable `fence(SeqCst)` control.
 #[test]
 fn sb_seqcst_never_violates() {
-    sb_clean(HwSeqCst);
+    sb_clean(FencePair::SEQCST);
 }
 
 /// MP with the asymmetric pair: the writer pays the heavy fence, the
 /// reader's fence is compiler-only under membarrier.
 #[test]
 fn mp_asymmetric_never_violates() {
-    mp_clean(Asymmetric);
+    mp_clean(FencePair::ASYMMETRIC);
 }
 
 /// MP with both sides heavy.
 #[test]
 fn mp_all_heavy_never_violates() {
-    mp_clean(AllHeavy);
+    mp_clean(FencePair::ALL_HEAVY);
 }
 
 /// Dekker mutual exclusion holds under the asymmetric pair: the CS
 /// witness never sees a second occupant across `iters` entries/thread.
 #[test]
 fn dekker_asymmetric_mutual_exclusion() {
-    let r = dekker(Asymmetric, iters());
+    let r = dekker(FencePair::ASYMMETRIC, iters());
     assert_eq!(r.violations, 0, "on backend {}", backend().label());
     assert_eq!(r.ops, 2 * iters());
 }
@@ -94,55 +93,19 @@ fn dekker_asymmetric_mutual_exclusion() {
 /// handed out twice).
 #[test]
 fn deque_conserves_tasks_asymmetric() {
-    let tasks = iters();
-    let q = TheDeque::new(128, Asymmetric);
-    let done = std::sync::atomic::AtomicBool::new(false);
-    use std::sync::atomic::Ordering;
-    let (owner_sum, thief_sum) = std::thread::scope(|s| {
-        let thief = s.spawn(|| {
-            let mut sum = 0u64;
-            while !done.load(Ordering::Acquire) {
-                match q.steal() {
-                    Some(v) => sum += v,
-                    None => std::thread::yield_now(),
-                }
-            }
-            while let Some(v) = q.steal() {
-                sum += v;
-            }
-            sum
-        });
-        let mut sum = 0u64;
-        for task in 1..=tasks {
-            while !q.push(task) {
-                if let Some(v) = q.take() {
-                    sum += v;
-                }
-            }
-            if task % 3 == 0 {
-                if let Some(v) = q.take() {
-                    sum += v;
-                }
-            }
-        }
-        while let Some(v) = q.take() {
-            sum += v;
-        }
-        done.store(true, Ordering::Release);
-        (sum, thief.join().unwrap())
-    });
-    assert_eq!(owner_sum + thief_sum, tasks * (tasks + 1) / 2);
+    let r = deque_churn(FencePair::ASYMMETRIC, iters());
+    assert_eq!(r.violations, 0, "on backend {}", backend().label());
+    assert_eq!(r.ops, 2 * iters());
 }
 
-/// Builds a native [`asymfence_native::C11Pair`] by running the whole
-/// inference pipeline on an *unannotated* kernel: recover footprints,
-/// place fences, synthesize WS+ strengths (8-seed oracle), lower to
-/// C11, and parse the per-site labels back into real fences. Thread 0's
-/// site fills the `critical` slot, thread 1's the `noncritical` one —
-/// the same wiring the native kernels use.
+/// Builds a native [`FencePair`] by running the whole inference
+/// pipeline on an *unannotated* kernel: recover footprints, place
+/// fences, synthesize WS+ strengths (8-seed oracle), and lower to C11.
+/// Thread 0's site fills the `critical` slot, thread 1's the
+/// `noncritical` one — the same wiring the native kernels use.
 fn analyzer_lowered_pair(
     kernel: asymfence_workloads::unannot::InferredKernel,
-) -> (asymfence_native::C11Pair, bool) {
+) -> (FencePair, bool) {
     use asymfence::prelude::FenceDesign;
     use asymfence_explore::{ExploreConfig, Explorer};
 
@@ -166,11 +129,10 @@ fn analyzer_lowered_pair(
             .iter()
             .position(|f| f.thread == thread)
             .expect("one site per thread");
-        asymfence_native::C11Fence::from_label(lowering.fences[i].lower.label())
-            .expect("lowering labels parse")
+        lowering.fences[i].lower
     };
     (
-        asymfence_native::C11Pair {
+        FencePair {
             critical: fence_of(0),
             noncritical: fence_of(1),
         },
@@ -187,7 +149,7 @@ fn peterson_analyzer_lowered_c11_mutual_exclusion() {
     let (pair, asymmetric) =
         analyzer_lowered_pair(asymfence_workloads::unannot::InferredKernel::Peterson);
     assert!(asymmetric, "peterson's WS+ lowering should be light/heavy");
-    let r = asymfence_native::peterson(pair, iters());
+    let r = peterson(pair, iters());
     assert_eq!(
         r.violations,
         0,
@@ -221,19 +183,6 @@ fn sb_analyzer_lowered_c11_never_violates() {
 #[test]
 fn tlrw_counter_exact_asymmetric() {
     let per_thread = iters().min(10_000);
-    let stm = TlrwStm::new(2, 2, Asymmetric);
-    std::thread::scope(|s| {
-        for tid in 0..2 {
-            let stm = &stm;
-            s.spawn(move || {
-                for _ in 0..per_thread {
-                    stm.run(tid, |tx| {
-                        let v = tx.read(0)?;
-                        tx.write(0, v + 1)
-                    });
-                }
-            });
-        }
-    });
-    assert_eq!(stm.peek(0), 2 * per_thread);
+    let r = tlrw_counter(FencePair::ASYMMETRIC, per_thread);
+    assert_eq!(r.violations, 0, "on backend {}", backend().label());
 }
