@@ -64,6 +64,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== codec fuzz and round trips (release, 2000 cases each) =="
+# The snapshot and ledger readers must return Ok or Err, never panic,
+# on truncated, bit-flipped and byte-substituted inputs, and every
+# record kind must round-trip with any field values. The tier-1 run
+# above keeps the case counts low; this stage raises them.
+ASF_PROP_CASES=2000 cargo test -q --release --offline -p asymfence-common \
+  --test prop_codec
+
 echo "== parallel harness smoke (jobs=2 == jobs=1, byte-for-byte) =="
 # The run engine must produce identical stdout, CSVs, and telemetry
 # snapshots at any worker count; run the full quick grid serially and

@@ -11,7 +11,9 @@
 //! path by construction, which is exactly the steady-state profile the
 //! pool optimizes (see `DESIGN.md` §5g). The fenced variant adds a fence
 //! every [`FENCE_EVERY`] stores, so the always-on fence book (issue,
-//! complete, tally) runs in the window too.
+//! complete, tally) runs in the window too. The traced variant records
+//! every fence event into the machine's trace sink, which the reset
+//! clears in place, so its event and span rings keep their capacity.
 //!
 //! The switch and the counters are per thread, so only the armed test's
 //! own allocations count and the tests may run side by side.
@@ -134,12 +136,13 @@ fn programs(cfg: &MachineConfig, fenced: bool) -> Vec<Box<dyn ThreadProgram>> {
 
 /// Warms a two-core machine under `design`, then counts the heap calls
 /// of one reset + install + run: `(allocations, reallocations)`.
-fn steady_state_heap_calls(design: FenceDesign, fenced: bool) -> (u64, u64) {
+fn steady_state_heap_calls(design: FenceDesign, fenced: bool, traced: bool) -> (u64, u64) {
     let cfg = Arc::new(
         MachineConfig::builder()
             .cores(2)
             .fence_design(design)
             .seed(1)
+            .record_trace(traced)
             .build(),
     );
 
@@ -181,13 +184,15 @@ fn steady_state_heap_calls(design: FenceDesign, fenced: bool) -> (u64, u64) {
     );
     let issued: u64 = warm_tallies.iter().map(|t| t.issued).sum();
     assert_eq!(issued > 0, fenced, "{design:?}: fences issued {issued}");
+    let recorded = m.take_trace().map(|sink| sink.recorded());
+    assert_eq!(recorded.is_some_and(|n| n > 0), traced, "{design:?}");
     (ALLOCS.get(), REALLOCS.get())
 }
 
 #[test]
 fn pooled_reset_and_run_is_allocation_free() {
     assert_eq!(
-        steady_state_heap_calls(FenceDesign::SPlus, false),
+        steady_state_heap_calls(FenceDesign::SPlus, false, false),
         (0, 0),
         "steady-state pooled run must not touch the heap"
     );
@@ -208,10 +213,22 @@ fn fenced_pooled_runs_are_allocation_free() {
         FenceDesign::Wee,
     ]
     .into_iter()
-    .map(|design| (design, steady_state_heap_calls(design, true)))
+    .map(|design| (design, steady_state_heap_calls(design, true, false)))
     .collect();
     assert!(
         got.iter().all(|(_, calls)| *calls == (0, 0)),
         "steady-state fenced runs must not touch the heap: {got:?}"
+    );
+}
+
+/// A traced pooled run records every fence event into the sink the
+/// reset kept: both trace rings are cleared in place, not rebuilt, so
+/// the rerun neither allocates nor re-grows them.
+#[test]
+fn traced_pooled_runs_are_allocation_free() {
+    assert_eq!(
+        steady_state_heap_calls(FenceDesign::WsPlus, true, true),
+        (0, 0),
+        "steady-state traced run must not touch the heap"
     );
 }

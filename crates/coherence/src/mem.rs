@@ -296,10 +296,13 @@ impl MemSystem {
         self.oracle = self.cfg.schedule.build_oracle();
         self.fences.reset();
         self.grt.reset();
-        self.trace = self
-            .cfg
-            .record_trace
-            .then(|| TraceSink::new(self.cfg.fence_design));
+        // A sink still held is cleared in place, keeping its rings'
+        // allocations; one that `take_trace` removed is rebuilt.
+        let design = self.cfg.fence_design;
+        match (&mut self.trace, self.cfg.record_trace) {
+            (Some(sink), true) => sink.clear(design),
+            (slot, record) => *slot = record.then(|| TraceSink::new(design)),
+        }
     }
 
     /// The earliest future cycle at which the memory system has work to

@@ -19,7 +19,8 @@
 //! on an older reader (mirroring the additive-schema rule of
 //! [`crate::telemetry`]). Serialization uses the in-repo
 //! [`Json`] value compactly rendered — one line
-//! per record, deterministic bytes.
+//! per record, deterministic bytes — written and read through each
+//! record's one field list.
 //!
 //! The crucial property, inherited from [`MachineStats::merge`] /
 //! [`FenceTally::merge`] associativity: a [`CellRecord`] carries the
@@ -32,9 +33,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::stats::{CoreStats, MachineStats, TrafficStats};
-use crate::telemetry::Json;
-use crate::trace::{FenceTally, BOUNCE_BUCKETS, LATENCY_BUCKETS};
+use crate::stats::{MachineStats, TrafficStats};
+use crate::telemetry::{field, Field, Json, Persisted, Shape, Wire};
+use crate::trace::FenceTally;
 
 /// Version stamped into every record's `v` field. Bump when a record's
 /// meaning changes incompatibly; readers skip versions they don't know.
@@ -53,7 +54,7 @@ pub fn shard_path(dir: &Path, id: u64) -> PathBuf {
 
 /// A shard announcing itself: written once per process start, so the
 /// number of claims in a shard file minus one is its resume count.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClaimRecord {
     /// This shard's id (`0..shards`).
     pub shard: u64,
@@ -82,7 +83,7 @@ pub struct ClaimRecord {
 /// fleet runs. Wall-clock fields here are *real* even in deterministic
 /// mode — heartbeats never merge into a snapshot, and a dashboard with
 /// masked throughput would be useless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeartbeatRecord {
     /// Shard id.
     pub shard: u64,
@@ -106,7 +107,7 @@ pub struct HeartbeatRecord {
 /// collector folds, so the merged snapshot needs nothing but cell
 /// records (in index order) to be byte-identical to a single-process
 /// run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellRecord {
     /// Grid index of the cell (global across shards).
     pub index: u64,
@@ -134,7 +135,7 @@ pub struct CellRecord {
 }
 
 /// A shard marking its partition complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DoneRecord {
     /// Shard id.
     pub shard: u64,
@@ -158,137 +159,103 @@ pub enum Record {
     Done(DoneRecord),
 }
 
-fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+impl Persisted for ClaimRecord {
+    type Value = dyn Wire;
+    const NAME: &'static str = "claim";
+    const LIST: &'static [Field<Self>] = &[
+        field!("shard", shard),
+        field!("shards", shards),
+        field!("grid", grid),
+        field!("cells", cells),
+        field!("owned", owned),
+        field!("resume", resume),
+        field!("deterministic", deterministic),
+        field!("quick", quick),
+        field!("pid", pid),
+    ];
 }
 
-fn u64s_arr(vals: &[u64]) -> Json {
-    Json::Arr(vals.iter().map(|&v| num(v)).collect())
+impl Persisted for HeartbeatRecord {
+    type Value = dyn Wire;
+    const NAME: &'static str = "heartbeat";
+    const LIST: &'static [Field<Self>] = &[
+        field!("shard", shard),
+        field!("done", done),
+        field!("owned", owned),
+        field!("sim_cycles", sim_cycles),
+        field!("wall_ns", wall_ns),
+        field!("peak_rss_bytes", peak_rss_bytes),
+        field!("ts_ms", ts_ms),
+    ];
 }
 
-fn stats_to_json(s: &MachineStats) -> Json {
-    Json::Obj(vec![
-        ("cycles".to_string(), num(s.cycles)),
-        ("deadlocked".to_string(), Json::Bool(s.deadlocked)),
-        (
-            "traffic".to_string(),
-            u64s_arr(&[
-                s.traffic.base_bytes,
-                s.traffic.retry_bytes,
-                s.traffic.messages,
-            ]),
-        ),
-        (
-            "cores".to_string(),
-            Json::Arr(s.cores.iter().map(|c| u64s_arr(&c.values())).collect()),
-        ),
-    ])
+impl Persisted for CellRecord {
+    type Value = dyn Wire;
+    const NAME: &'static str = "cell";
+    const LIST: &'static [Field<Self>] = &[
+        field!("index", index),
+        field!("section", section),
+        field!("workload", workload),
+        field!("design", design),
+        field!("cycles", cycles),
+        field!("commits", commits),
+        field!("aborts", aborts),
+        field!("scv", scv),
+        field!("wall_ns", wall_ns),
+        field!("stats", stats),
+        field!("tallies", tallies),
+    ];
 }
 
-fn tally_to_json(t: &FenceTally) -> Json {
-    Json::Obj(vec![
-        ("issued".to_string(), num(t.issued)),
-        ("completed".to_string(), num(t.completed)),
-        ("rolled_back".to_string(), num(t.rolled_back)),
-        ("demoted".to_string(), num(t.demoted)),
-        ("bounces".to_string(), num(t.bounces)),
-        ("latency".to_string(), u64s_arr(&t.latency_buckets)),
-        ("bounce".to_string(), u64s_arr(&t.bounce_buckets)),
-        ("total_latency".to_string(), num(t.total_latency)),
-        ("max_latency".to_string(), num(t.max_latency)),
-    ])
+impl Persisted for DoneRecord {
+    type Value = dyn Wire;
+    const NAME: &'static str = "done";
+    const LIST: &'static [Field<Self>] = &[
+        field!("shard", shard),
+        field!("done", done),
+        field!("wall_ns", wall_ns),
+    ];
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("record missing integer `{key}`"))
+/// A cell's machine statistics; each core is an array of its counters
+/// (see `CoreStats`'s list).
+impl Persisted for MachineStats {
+    type Value = dyn Wire;
+    const NAME: &'static str = "stats";
+    const LIST: &'static [Field<Self>] = &[
+        field!("cycles", cycles),
+        field!("deadlocked", deadlocked),
+        field!("traffic", traffic),
+        field!("cores", cores),
+    ];
 }
 
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("record missing bool `{key}`"))
+impl Persisted for TrafficStats {
+    type Value = u64;
+    const NAME: &'static str = "traffic";
+    const SHAPE: Shape = Shape::Array;
+    const LIST: &'static [Field<Self, u64>] = &[
+        field!("base_bytes", base_bytes),
+        field!("retry_bytes", retry_bytes),
+        field!("messages", messages),
+    ];
 }
 
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("record missing string `{key}`"))
-}
-
-fn get_u64s(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("record missing array `{key}`"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("`{key}` has a non-integer"))
-        })
-        .collect()
-}
-
-fn stats_from_json(v: &Json) -> Result<MachineStats, String> {
-    let traffic = get_u64s(v, "traffic")?;
-    if traffic.len() != 3 {
-        return Err("stats `traffic` must have 3 elements".to_string());
-    }
-    let mut cores = Vec::new();
-    for c in v
-        .get("cores")
-        .and_then(Json::as_arr)
-        .ok_or("stats missing `cores`".to_string())?
-    {
-        let vals: Vec<u64> = c
-            .as_arr()
-            .ok_or("core is not an array".to_string())?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .ok_or("core counter is not an integer".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        cores.push(CoreStats::from_values(&vals).ok_or_else(|| {
-            format!(
-                "core has {} counters, expected {}",
-                vals.len(),
-                CoreStats::FIELDS
-            )
-        })?);
-    }
-    Ok(MachineStats {
-        cycles: get_u64(v, "cycles")?,
-        cores,
-        traffic: TrafficStats {
-            base_bytes: traffic[0],
-            retry_bytes: traffic[1],
-            messages: traffic[2],
-        },
-        deadlocked: get_bool(v, "deadlocked")?,
-    })
-}
-
-fn tally_from_json(v: &Json) -> Result<FenceTally, String> {
-    let latency = get_u64s(v, "latency")?;
-    let bounce = get_u64s(v, "bounce")?;
-    if latency.len() != LATENCY_BUCKETS || bounce.len() != BOUNCE_BUCKETS {
-        return Err("tally histogram length mismatch".to_string());
-    }
-    let mut t = FenceTally {
-        issued: get_u64(v, "issued")?,
-        completed: get_u64(v, "completed")?,
-        rolled_back: get_u64(v, "rolled_back")?,
-        demoted: get_u64(v, "demoted")?,
-        bounces: get_u64(v, "bounces")?,
-        total_latency: get_u64(v, "total_latency")?,
-        max_latency: get_u64(v, "max_latency")?,
-        ..Default::default()
-    };
-    t.latency_buckets.copy_from_slice(&latency);
-    t.bounce_buckets.copy_from_slice(&bounce);
-    Ok(t)
+/// One fence class's tally; the histograms are arrays of their buckets.
+impl Persisted for FenceTally {
+    type Value = dyn Wire;
+    const NAME: &'static str = "tally";
+    const LIST: &'static [Field<Self>] = &[
+        field!("issued", issued),
+        field!("completed", completed),
+        field!("rolled_back", rolled_back),
+        field!("demoted", demoted),
+        field!("bounces", bounces),
+        field!("latency", latency_buckets),
+        field!("bounce", bounce_buckets),
+        field!("total_latency", total_latency),
+        field!("max_latency", max_latency),
+    ];
 }
 
 impl Record {
@@ -303,56 +270,22 @@ impl Record {
     }
 
     /// Serializes the record as one compact JSON line (no trailing
-    /// newline; the writer appends it).
+    /// newline; the writer appends it): the envelope (`v`, `kind`), then
+    /// the record's fields.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            ("v".to_string(), num(LEDGER_VERSION)),
-            ("kind".to_string(), Json::Str(self.kind().to_string())),
-        ];
-        match self {
-            Record::Claim(c) => fields.extend([
-                ("shard".to_string(), num(c.shard)),
-                ("shards".to_string(), num(c.shards)),
-                ("grid".to_string(), Json::Str(c.grid.clone())),
-                ("cells".to_string(), num(c.cells)),
-                ("owned".to_string(), num(c.owned)),
-                ("resume".to_string(), num(c.resume)),
-                ("deterministic".to_string(), Json::Bool(c.deterministic)),
-                ("quick".to_string(), Json::Bool(c.quick)),
-                ("pid".to_string(), num(c.pid)),
-            ]),
-            Record::Heartbeat(h) => fields.extend([
-                ("shard".to_string(), num(h.shard)),
-                ("done".to_string(), num(h.done)),
-                ("owned".to_string(), num(h.owned)),
-                ("sim_cycles".to_string(), num(h.sim_cycles)),
-                ("wall_ns".to_string(), num(h.wall_ns)),
-                ("peak_rss_bytes".to_string(), num(h.peak_rss_bytes)),
-                ("ts_ms".to_string(), num(h.ts_ms)),
-            ]),
-            Record::Cell(c) => fields.extend([
-                ("index".to_string(), num(c.index)),
-                ("section".to_string(), Json::Str(c.section.clone())),
-                ("workload".to_string(), Json::Str(c.workload.clone())),
-                ("design".to_string(), Json::Str(c.design.clone())),
-                ("cycles".to_string(), num(c.cycles)),
-                ("commits".to_string(), num(c.commits)),
-                ("aborts".to_string(), num(c.aborts)),
-                ("scv".to_string(), Json::Bool(c.scv)),
-                ("wall_ns".to_string(), num(c.wall_ns)),
-                ("stats".to_string(), stats_to_json(&c.stats)),
-                (
-                    "tallies".to_string(),
-                    Json::Arr(c.tallies.iter().map(tally_to_json).collect()),
-                ),
-            ]),
-            Record::Done(d) => fields.extend([
-                ("shard".to_string(), num(d.shard)),
-                ("done".to_string(), num(d.done)),
-                ("wall_ns".to_string(), num(d.wall_ns)),
-            ]),
+        fn line<R: Persisted>(kind: &str, r: &R) -> String {
+            let mut out = Vec::with_capacity(2 + R::LIST.len());
+            out.push(("v".to_string(), LEDGER_VERSION.put()));
+            out.push(("kind".to_string(), Json::Str(kind.to_string())));
+            r.put_fields(&mut out);
+            Json::Obj(out).render_compact()
         }
-        Json::Obj(fields).render_compact()
+        match self {
+            Record::Claim(c) => line(self.kind(), c),
+            Record::Heartbeat(h) => line(self.kind(), h),
+            Record::Cell(c) => line(self.kind(), &**c),
+            Record::Done(d) => line(self.kind(), d),
+        }
     }
 
     /// Parses one ledger line. `Ok(None)` means the line is valid JSON
@@ -360,69 +293,22 @@ impl Record {
     /// caller skips it (counting a warning) instead of failing, so newer
     /// writers stay mergeable. `Err` means the line is not a ledger
     /// record at all (corruption — or a torn tail, which the file reader
-    /// handles before calling this).
+    /// handles before calling this). The envelope is read first, since it
+    /// says which field list the rest is.
     pub fn parse_line(line: &str) -> Result<Option<Record>, String> {
         let v = Json::parse(line)?;
-        let version = get_u64(&v, "v")?;
-        if version != LEDGER_VERSION {
+        let version = v.get("v").and_then(Json::as_u64);
+        if version.ok_or("record missing integer `v`")? != LEDGER_VERSION {
             return Ok(None);
         }
-        let kind = get_str(&v, "kind")?;
-        let rec = match kind.as_str() {
-            "claim" => Record::Claim(ClaimRecord {
-                shard: get_u64(&v, "shard")?,
-                shards: get_u64(&v, "shards")?,
-                grid: get_str(&v, "grid")?,
-                cells: get_u64(&v, "cells")?,
-                owned: get_u64(&v, "owned")?,
-                resume: get_u64(&v, "resume")?,
-                deterministic: get_bool(&v, "deterministic")?,
-                quick: get_bool(&v, "quick")?,
-                pid: get_u64(&v, "pid")?,
-            }),
-            "heartbeat" => Record::Heartbeat(HeartbeatRecord {
-                shard: get_u64(&v, "shard")?,
-                done: get_u64(&v, "done")?,
-                owned: get_u64(&v, "owned")?,
-                sim_cycles: get_u64(&v, "sim_cycles")?,
-                wall_ns: get_u64(&v, "wall_ns")?,
-                peak_rss_bytes: get_u64(&v, "peak_rss_bytes")?,
-                ts_ms: get_u64(&v, "ts_ms")?,
-            }),
-            "cell" => Record::Cell(Box::new(CellRecord {
-                index: get_u64(&v, "index")?,
-                section: get_str(&v, "section")?,
-                workload: get_str(&v, "workload")?,
-                design: get_str(&v, "design")?,
-                cycles: get_u64(&v, "cycles")?,
-                commits: get_u64(&v, "commits")?,
-                aborts: get_u64(&v, "aborts")?,
-                scv: get_bool(&v, "scv")?,
-                wall_ns: get_u64(&v, "wall_ns")?,
-                stats: stats_from_json(v.get("stats").ok_or("cell missing `stats`".to_string())?)?,
-                tallies: {
-                    let arr = v
-                        .get("tallies")
-                        .and_then(Json::as_arr)
-                        .ok_or("cell missing `tallies`".to_string())?;
-                    if arr.len() != 3 {
-                        return Err("cell `tallies` must have 3 classes".to_string());
-                    }
-                    [
-                        tally_from_json(&arr[0])?,
-                        tally_from_json(&arr[1])?,
-                        tally_from_json(&arr[2])?,
-                    ]
-                },
-            })),
-            "done" => Record::Done(DoneRecord {
-                shard: get_u64(&v, "shard")?,
-                done: get_u64(&v, "done")?,
-                wall_ns: get_u64(&v, "wall_ns")?,
-            }),
+        let kind = v.get("kind").and_then(Json::as_str);
+        Ok(Some(match kind.ok_or("record missing string `kind`")? {
+            "claim" => Record::Claim(ClaimRecord::read(&v)?),
+            "heartbeat" => Record::Heartbeat(HeartbeatRecord::read(&v)?),
+            "cell" => Record::Cell(Box::new(CellRecord::read(&v)?)),
+            "done" => Record::Done(DoneRecord::read(&v)?),
             _ => return Ok(None),
-        };
-        Ok(Some(rec))
+        }))
     }
 }
 
@@ -517,11 +403,8 @@ pub fn read_shard_log(path: &Path) -> Result<ShardLog, String> {
                 log.skipped_unknown += 1;
                 valid_end = e;
             }
-            Err(err) if last => {
-                // Terminated but unparseable tail line: torn, cut it.
-                let _ = err;
-                break;
-            }
+            // Terminated but unparseable tail line: torn, cut it.
+            Err(_) if last => break,
             Err(err) => {
                 return Err(format!(
                     "{}: corrupt ledger record on line {}: {err}",
@@ -560,6 +443,7 @@ pub fn recover_for_append(path: &Path) -> Result<(ShardLog, File), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CoreStats;
 
     fn sample_cell(index: u64) -> CellRecord {
         let mut stats = MachineStats {

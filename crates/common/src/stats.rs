@@ -9,6 +9,8 @@
 use std::fmt;
 use std::ops::AddAssign;
 
+use crate::telemetry::{field, Field, Persisted, Shape};
+
 /// How a core spent one retirement cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StallKind {
@@ -124,107 +126,66 @@ impl CoreStats {
         self.bs_lines_sum as f64 / self.wf_count as f64
     }
 
-    /// Number of counters (array length of [`CoreStats::values`]).
-    pub const FIELDS: usize = 25;
+    /// Number of counters: the length of a core's array wire form.
+    pub const FIELDS: usize = <Self as Persisted>::LIST.len();
 
-    /// Every counter as a fixed-size array in declaration order — the
-    /// wire form the sweep run ledger persists a core as. The order is
-    /// the same one `AddAssign` folds in; [`CoreStats::from_values`]
-    /// inverts it exactly.
-    pub fn values(&self) -> [u64; Self::FIELDS] {
-        [
-            self.busy_cycles,
-            self.fence_stall_cycles,
-            self.other_stall_cycles,
-            self.idle_cycles,
-            self.instrs_retired,
-            self.loads,
-            self.stores,
-            self.rmws,
-            self.sf_count,
-            self.wf_count,
-            self.wee_demotions,
-            self.bs_lines_sum,
-            self.bs_peak,
-            self.bs_overflows,
-            self.writes_bounced,
-            self.bounce_retries,
-            self.order_ops,
-            self.cond_order_failures,
-            self.cond_order_successes,
-            self.recoveries,
-            self.load_squashes,
-            self.early_retired_loads,
-            self.remote_ps_stalls,
-            self.l1_misses,
-            self.l1_hits,
-        ]
-    }
-
-    /// Rebuilds a core from a [`CoreStats::values`] array. `None` when
-    /// the slice has the wrong length (ledger written by a build with a
-    /// different counter set — record-level schema drift).
+    /// Rebuilds a core from its counters in wire order. `None` when the
+    /// slice has the wrong length.
     pub fn from_values(vals: &[u64]) -> Option<CoreStats> {
-        if vals.len() != Self::FIELDS {
-            return None;
-        }
-        Some(CoreStats {
-            busy_cycles: vals[0],
-            fence_stall_cycles: vals[1],
-            other_stall_cycles: vals[2],
-            idle_cycles: vals[3],
-            instrs_retired: vals[4],
-            loads: vals[5],
-            stores: vals[6],
-            rmws: vals[7],
-            sf_count: vals[8],
-            wf_count: vals[9],
-            wee_demotions: vals[10],
-            bs_lines_sum: vals[11],
-            bs_peak: vals[12],
-            bs_overflows: vals[13],
-            writes_bounced: vals[14],
-            bounce_retries: vals[15],
-            order_ops: vals[16],
-            cond_order_failures: vals[17],
-            cond_order_successes: vals[18],
-            recoveries: vals[19],
-            load_squashes: vals[20],
-            early_retired_loads: vals[21],
-            remote_ps_stalls: vals[22],
-            l1_misses: vals[23],
-            l1_hits: vals[24],
+        let mut core = CoreStats::default();
+        (vals.len() == Self::FIELDS).then(|| {
+            for (at, &v) in Self::LIST.iter().filter_map(|f| f.at).zip(vals) {
+                *at(&mut core) = v;
+            }
+            core
         })
     }
 }
 
+/// The sweep ledger persists a core as an array of its counters in this
+/// order, which is also the order `AddAssign` folds in.
+impl Persisted for CoreStats {
+    type Value = u64;
+    const NAME: &'static str = "core";
+    const SHAPE: Shape = Shape::Array;
+    const LIST: &'static [Field<Self, u64>] = &[
+        field!("busy_cycles", busy_cycles),
+        field!("fence_stall_cycles", fence_stall_cycles),
+        field!("other_stall_cycles", other_stall_cycles),
+        field!("idle_cycles", idle_cycles),
+        field!("instrs_retired", instrs_retired),
+        field!("loads", loads),
+        field!("stores", stores),
+        field!("rmws", rmws),
+        field!("sf_count", sf_count),
+        field!("wf_count", wf_count),
+        field!("wee_demotions", wee_demotions),
+        field!("bs_lines_sum", bs_lines_sum),
+        field!("bs_peak", bs_peak),
+        field!("bs_overflows", bs_overflows),
+        field!("writes_bounced", writes_bounced),
+        field!("bounce_retries", bounce_retries),
+        field!("order_ops", order_ops),
+        field!("cond_order_failures", cond_order_failures),
+        field!("cond_order_successes", cond_order_successes),
+        field!("recoveries", recoveries),
+        field!("load_squashes", load_squashes),
+        field!("early_retired_loads", early_retired_loads),
+        field!("remote_ps_stalls", remote_ps_stalls),
+        field!("l1_misses", l1_misses),
+        field!("l1_hits", l1_hits),
+    ];
+}
+
 impl AddAssign<&CoreStats> for CoreStats {
+    /// Sums every counter, except `bs_peak`: a peak, so it takes the max.
     fn add_assign(&mut self, rhs: &CoreStats) {
-        self.busy_cycles += rhs.busy_cycles;
-        self.fence_stall_cycles += rhs.fence_stall_cycles;
-        self.other_stall_cycles += rhs.other_stall_cycles;
-        self.idle_cycles += rhs.idle_cycles;
-        self.instrs_retired += rhs.instrs_retired;
-        self.loads += rhs.loads;
-        self.stores += rhs.stores;
-        self.rmws += rhs.rmws;
-        self.sf_count += rhs.sf_count;
-        self.wf_count += rhs.wf_count;
-        self.wee_demotions += rhs.wee_demotions;
-        self.bs_lines_sum += rhs.bs_lines_sum;
-        self.bs_peak = self.bs_peak.max(rhs.bs_peak);
-        self.bs_overflows += rhs.bs_overflows;
-        self.writes_bounced += rhs.writes_bounced;
-        self.bounce_retries += rhs.bounce_retries;
-        self.order_ops += rhs.order_ops;
-        self.cond_order_failures += rhs.cond_order_failures;
-        self.cond_order_successes += rhs.cond_order_successes;
-        self.recoveries += rhs.recoveries;
-        self.load_squashes += rhs.load_squashes;
-        self.early_retired_loads += rhs.early_retired_loads;
-        self.remote_ps_stalls += rhs.remote_ps_stalls;
-        self.l1_misses += rhs.l1_misses;
-        self.l1_hits += rhs.l1_hits;
+        let peak = self.bs_peak.max(rhs.bs_peak);
+        let mut rhs = *rhs;
+        for at in Self::LIST.iter().filter_map(|f| f.at) {
+            *at(self) += *at(&mut rhs);
+        }
+        self.bs_peak = peak;
     }
 }
 
@@ -428,65 +389,44 @@ pub struct DerivedStats {
 }
 
 impl DerivedStats {
-    /// Every field as a stable `(name, value)` list, in declaration
-    /// order. This is the single source of truth the telemetry snapshot
-    /// serializer and `perfdiff` iterate, so a field added here is
-    /// automatically persisted and regression-gated.
-    pub fn fields(&self) -> [(&'static str, f64); 19] {
-        [
-            ("fence_stall_fraction", self.fence_stall_fraction),
-            ("fence_stall_per_fence", self.fence_stall_per_fence),
-            ("fences_per_kilo_instr", self.fences_per_kilo_instr),
-            ("weak_fence_fraction", self.weak_fence_fraction),
-            ("bs_lines_per_wf", self.bs_lines_per_wf),
-            ("bounces_per_wf", self.bounces_per_wf),
-            ("retries_per_bounced_write", self.retries_per_bounced_write),
-            ("order_ops_per_wf", self.order_ops_per_wf),
-            ("cond_order_failure_rate", self.cond_order_failure_rate),
-            ("recoveries_per_wf", self.recoveries_per_wf),
-            ("demotion_fraction", self.demotion_fraction),
-            ("remote_ps_stalls_per_wf", self.remote_ps_stalls_per_wf),
-            (
-                "early_retired_load_fraction",
-                self.early_retired_load_fraction,
-            ),
-            ("retry_traffic_pct", self.retry_traffic_pct),
-            ("bs_overflows_per_wf", self.bs_overflows_per_wf),
-            ("bs_peak_lines", self.bs_peak_lines),
-            ("load_squash_fraction", self.load_squash_fraction),
-            ("l1_miss_rate", self.l1_miss_rate),
-            ("bytes_per_message", self.bytes_per_message),
-        ]
+    /// Every ratio as `(name, value)`, in list order: what `perfdiff`
+    /// compares.
+    pub fn fields(&self) -> Vec<(&'static str, f64)> {
+        let mut d = *self;
+        Self::LIST
+            .iter()
+            .filter_map(|f| Some((f.key, *f.at?(&mut d))))
+            .collect()
     }
+}
 
-    /// Sets a field by its [`DerivedStats::fields`] name; `false` if the
-    /// name is unknown (snapshot schema drift).
-    pub fn set_field(&mut self, name: &str, value: f64) -> bool {
-        let slot = match name {
-            "fence_stall_fraction" => &mut self.fence_stall_fraction,
-            "fence_stall_per_fence" => &mut self.fence_stall_per_fence,
-            "fences_per_kilo_instr" => &mut self.fences_per_kilo_instr,
-            "weak_fence_fraction" => &mut self.weak_fence_fraction,
-            "bs_lines_per_wf" => &mut self.bs_lines_per_wf,
-            "bounces_per_wf" => &mut self.bounces_per_wf,
-            "retries_per_bounced_write" => &mut self.retries_per_bounced_write,
-            "order_ops_per_wf" => &mut self.order_ops_per_wf,
-            "cond_order_failure_rate" => &mut self.cond_order_failure_rate,
-            "recoveries_per_wf" => &mut self.recoveries_per_wf,
-            "demotion_fraction" => &mut self.demotion_fraction,
-            "remote_ps_stalls_per_wf" => &mut self.remote_ps_stalls_per_wf,
-            "early_retired_load_fraction" => &mut self.early_retired_load_fraction,
-            "retry_traffic_pct" => &mut self.retry_traffic_pct,
-            "bs_overflows_per_wf" => &mut self.bs_overflows_per_wf,
-            "bs_peak_lines" => &mut self.bs_peak_lines,
-            "load_squash_fraction" => &mut self.load_squash_fraction,
-            "l1_miss_rate" => &mut self.l1_miss_rate,
-            "bytes_per_message" => &mut self.bytes_per_message,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
+/// A snapshot entry's `derived` block: read by name, so an unknown name
+/// is schema drift.
+impl Persisted for DerivedStats {
+    type Value = f64;
+    const NAME: &'static str = "derived";
+    const SHAPE: Shape = Shape::Closed;
+    const LIST: &'static [Field<Self, f64>] = &[
+        field!("fence_stall_fraction", fence_stall_fraction),
+        field!("fence_stall_per_fence", fence_stall_per_fence),
+        field!("fences_per_kilo_instr", fences_per_kilo_instr),
+        field!("weak_fence_fraction", weak_fence_fraction),
+        field!("bs_lines_per_wf", bs_lines_per_wf),
+        field!("bounces_per_wf", bounces_per_wf),
+        field!("retries_per_bounced_write", retries_per_bounced_write),
+        field!("order_ops_per_wf", order_ops_per_wf),
+        field!("cond_order_failure_rate", cond_order_failure_rate),
+        field!("recoveries_per_wf", recoveries_per_wf),
+        field!("demotion_fraction", demotion_fraction),
+        field!("remote_ps_stalls_per_wf", remote_ps_stalls_per_wf),
+        field!("early_retired_load_fraction", early_retired_load_fraction),
+        field!("retry_traffic_pct", retry_traffic_pct),
+        field!("bs_overflows_per_wf", bs_overflows_per_wf),
+        field!("bs_peak_lines", bs_peak_lines),
+        field!("load_squash_fraction", load_squash_fraction),
+        field!("l1_miss_rate", l1_miss_rate),
+        field!("bytes_per_message", bytes_per_message),
+    ];
 }
 
 impl fmt::Display for MachineStats {
@@ -683,26 +623,48 @@ mod tests {
     }
 
     #[test]
-    fn derived_fields_round_trip_by_name() {
+    fn derived_block_is_read_by_name() {
+        use crate::telemetry::{Json, Wire};
+        // Give every field a distinct value, so a transposition in
+        // either direction would be caught.
         let mut src = DerivedStats::default();
-        // Give every field a distinct value via the name API...
-        for (i, (name, _)) in DerivedStats::default().fields().iter().enumerate() {
-            assert!(src.set_field(name, i as f64 + 0.5), "unknown field {name}");
+        let at: Vec<_> = DerivedStats::LIST.iter().filter_map(|f| f.at).collect();
+        for (i, at) in at.iter().enumerate() {
+            *at(&mut src) = i as f64 + 0.5;
         }
-        // ...and read them all back through fields().
+        let json = src.put();
+        assert_eq!(DerivedStats::read(&json), Ok(src));
         for (i, (name, v)) in src.fields().iter().enumerate() {
             assert_eq!(*v, i as f64 + 0.5, "field {name} lost its value");
         }
-        assert!(!src.set_field("no_such_field", 1.0));
+        // A missing name keeps its default; an unknown one is drift.
+        assert_eq!(
+            DerivedStats::read(&Json::Obj(vec![])),
+            Ok(DerivedStats::default())
+        );
+        let drift = Json::Obj(vec![("no_such_field".to_string(), Json::Num(1.0))]);
+        let err = DerivedStats::read(&drift).unwrap_err();
+        assert!(
+            err.contains("unknown derived field `no_such_field`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn core_values_round_trip_in_addassign_order() {
+        use crate::telemetry::Wire;
         // Give every counter a distinct value so a transposition in
         // either direction would be caught.
         let vals: Vec<u64> = (1..=CoreStats::FIELDS as u64).map(|i| i * 11).collect();
         let core = CoreStats::from_values(&vals).unwrap();
-        assert_eq!(core.values().to_vec(), vals);
+        let wire: Vec<u64> = core
+            .put()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap())
+            .collect();
+        assert_eq!(wire, vals);
         // Spot-check that the array order is the declaration order.
         assert_eq!(core.busy_cycles, 11);
         assert_eq!(core.bs_peak, 13 * 11);
@@ -710,6 +672,12 @@ mod tests {
         // Wrong lengths are schema drift, not a panic.
         assert!(CoreStats::from_values(&vals[..24]).is_none());
         assert!(CoreStats::from_values(&[]).is_none());
+        // Folding sums every counter but takes the max of the peak.
+        let mut sum = core;
+        sum += &core;
+        assert_eq!(sum.busy_cycles, 22);
+        assert_eq!(sum.l1_hits, 2 * 25 * 11);
+        assert_eq!(sum.bs_peak, 13 * 11);
     }
 
     #[test]

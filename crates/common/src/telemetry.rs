@@ -13,7 +13,11 @@
 //! Like the rest of the workspace the module is zero-dependency: JSON is
 //! written and parsed by the hand-rolled [`Json`] value type (object key
 //! order is preserved, floats render in Rust's shortest round-trip form,
-//! so equal snapshots are equal bytes).
+//! so equal snapshots are equal bytes). Every persisted record — the
+//! snapshot types here, the `DerivedStats` and `CoreStats` of
+//! [`crate::stats`], and the sweep ledger's records — lists its fields
+//! once, as `field!("key", field)` entries; that one list drives both
+//! the writer and the reader.
 //!
 //! Determinism: wall-clock and RSS are inherently machine-dependent, so
 //! they are the *only* nondeterministic fields in a snapshot. Setting
@@ -258,56 +262,9 @@ impl Json {
     /// Renders pretty-printed JSON (2-space indent, trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render_into(&mut out, Some(0));
         out.push('\n');
         out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_num(out, *n),
-            Json::Str(s) => render_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    render_str(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
     }
 
     /// Renders compact single-line JSON (no spaces or newlines) — the
@@ -316,37 +273,22 @@ impl Json {
     /// after the last `\n`. Deterministic like [`Json::render`].
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.render_compact_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_compact_into(&self, out: &mut String) {
+    /// Renders into `out`, pretty at nesting depth `indent` or compact
+    /// when `None`.
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => render_num(out, *n),
             Json::Str(s) => render_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_compact_into(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => render_members(out, indent, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(out, k);
-                    out.push(':');
-                    v.render_compact_into(out);
-                }
-                out.push('}');
+                let members = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                render_members(out, indent, "{}", members)
             }
         }
     }
@@ -370,6 +312,40 @@ fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
+}
+
+/// Renders an array's items or an object's keyed members between
+/// `brackets`: comma-separated, and when pretty one per line at
+/// `indent + 1` (an empty one stays `[]` / `{}`).
+fn render_members<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: &str,
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let empty = members.len() == 0;
+    let inner = indent.map(|depth| depth + 1);
+    out.push_str(open);
+    for (i, (key, v)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(depth) = inner {
+            out.push('\n');
+            push_indent(out, depth);
+        }
+        if let Some(key) = key {
+            render_str(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        v.render_into(out, inner);
+    }
+    if let (Some(depth), false) = (indent, empty) {
+        out.push('\n');
+        push_indent(out, depth);
+    }
+    out.push_str(close);
 }
 
 fn render_num(out: &mut String, n: f64) {
@@ -562,6 +538,209 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
 }
 
 // ---------------------------------------------------------------------------
+// Field lists
+// ---------------------------------------------------------------------------
+
+/// A value with one JSON wire form: `put` renders it, `take` fills it
+/// back from a value or says what is wrong with that value.
+pub(crate) trait Wire {
+    fn put(&self) -> Json;
+    fn take(&mut self, v: &Json) -> Result<(), String>;
+}
+
+/// Leaf wire forms: `type => (render, read, what a bad value is not)`.
+macro_rules! leaf_wire {
+    ($($t:ty => ($put:expr, $read:expr, $not:literal)),* $(,)?) => {$(
+        impl Wire for $t {
+            fn put(&self) -> Json {
+                $put(self)
+            }
+
+            fn take(&mut self, v: &Json) -> Result<(), String> {
+                *self = $read(v).ok_or($not)?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+leaf_wire! {
+    u64 => (|n: &u64| Json::Num(*n as f64), Json::as_u64, "not an unsigned integer"),
+    f64 => (|n: &f64| Json::Num(*n), Json::as_f64, "not a number"),
+    bool => (|b: &bool| Json::Bool(*b), Json::as_bool, "not a bool"),
+    String => (|s: &String| Json::Str(s.clone()), |v: &Json| v.as_str().map(str::to_string), "not a string"),
+}
+
+/// An optional block: its field's `when` omits it when `None`.
+impl<T: Wire + Default> Wire for Option<T> {
+    fn put(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Wire::put)
+    }
+
+    fn take(&mut self, v: &Json) -> Result<(), String> {
+        self.insert(T::default()).take(v)
+    }
+}
+
+impl<T: Persisted> Wire for Vec<T> {
+    fn put(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::put).collect())
+    }
+
+    fn take(&mut self, v: &Json) -> Result<(), String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        *self = items.iter().map(T::read).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn put(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::put).collect())
+    }
+
+    fn take(&mut self, v: &Json) -> Result<(), String> {
+        let items = v.as_arr().filter(|a| a.len() == N);
+        let items = items.ok_or_else(|| format!("not an array of {N}"))?;
+        self.iter_mut().zip(items).try_for_each(|(t, x)| t.take(x))
+    }
+}
+
+/// One persisted field of record `R`, as [`field!`] writes it: the JSON
+/// key, how the value renders, the field a read fills, and when the
+/// field is present. `T` is what the field reads as: any [`Wire`]
+/// value, or one counter type for a homogeneous record.
+pub(crate) struct Field<R, T: ?Sized = dyn Wire> {
+    /// The JSON key (documentation only for a [`Shape::Array`] record).
+    pub(crate) key: &'static str,
+    /// Renders the value.
+    pub(crate) put: fn(&R) -> Json,
+    /// The field a read fills; `None` for a value that is written but
+    /// never read (a rate computed from other fields).
+    pub(crate) at: Option<fn(&mut R) -> &mut T>,
+    /// Written only when this holds; a read takes its absence as the
+    /// default (the additive-schema rule).
+    pub(crate) when: Option<fn(&R) -> bool>,
+}
+
+impl<R> Field<R> {
+    /// A value computed from the record: written, never read.
+    pub(crate) const fn computed(key: &'static str, put: fn(&R) -> Json) -> Self {
+        Field {
+            key,
+            put,
+            at: None,
+            when: None,
+        }
+    }
+}
+
+/// One [`Field`], written once as its key and the record field it
+/// reaches: `field!("key", f)` writes and reads `r.f`; `field!("key",
+/// f, when)` writes it only when `when(r)` holds.
+macro_rules! field {
+    ($key:literal, $f:tt) => {
+        $crate::telemetry::Field {
+            key: $key,
+            put: |r| $crate::telemetry::Wire::put(&r.$f),
+            at: Some(|r| &mut r.$f),
+            when: None,
+        }
+    };
+    ($key:literal, $f:tt, $when:expr) => {
+        $crate::telemetry::Field {
+            when: Some($when),
+            ..field!($key, $f)
+        }
+    };
+}
+pub(crate) use field;
+
+/// How a record's fields sit on the wire.
+pub(crate) enum Shape {
+    /// An object. A missing field is an error; an unknown key is a newer
+    /// writer's additive field and is skipped.
+    Object,
+    /// An object read by name: an unknown key is schema drift, and a
+    /// missing field keeps its default.
+    Closed,
+    /// An array of every value in list order, of exactly that length.
+    Array,
+}
+
+/// A record persisted through one field list. The list drives both
+/// directions: the [`Wire`] impl below writes it and reads it back.
+pub(crate) trait Persisted: Default + 'static {
+    /// What every field reads as (see [`Field`]).
+    type Value: ?Sized + Wire + 'static;
+    /// Names the record in reader errors.
+    const NAME: &'static str;
+    /// The wire shape.
+    const SHAPE: Shape = Shape::Object;
+    /// Every field once, in wire order.
+    const LIST: &'static [Field<Self, Self::Value>];
+
+    /// Appends the present fields to `out` as object members.
+    fn put_fields(&self, out: &mut Vec<(String, Json)>) {
+        for f in Self::LIST {
+            if f.when.is_none_or(|when| when(self)) {
+                out.push((f.key.to_string(), (f.put)(self)));
+            }
+        }
+    }
+
+    /// Reads a whole record from `v`.
+    fn read(v: &Json) -> Result<Self, String> {
+        let mut r = Self::default();
+        r.take(v)?;
+        Ok(r)
+    }
+}
+
+impl<R: Persisted> Wire for R {
+    fn put(&self) -> Json {
+        if let Shape::Array = R::SHAPE {
+            return Json::Arr(R::LIST.iter().map(|f| (f.put)(self)).collect());
+        }
+        let mut out = Vec::with_capacity(R::LIST.len());
+        self.put_fields(&mut out);
+        Json::Obj(out)
+    }
+
+    fn take(&mut self, v: &Json) -> Result<(), String> {
+        let name = R::NAME;
+        let mut fill = |f: &Field<R, R::Value>, x: &Json| match f.at {
+            Some(at) => at(self)
+                .take(x)
+                .map_err(|e| format!("{name} `{}`: {e}", f.key)),
+            None => Ok(()),
+        };
+        match (R::SHAPE, v) {
+            (Shape::Array, Json::Arr(items)) if items.len() == R::LIST.len() => {
+                R::LIST.iter().zip(items).try_for_each(|(f, x)| fill(f, x))
+            }
+            (Shape::Array, _) => Err(format!(
+                "{name} is not an array of {} values",
+                R::LIST.len()
+            )),
+            (shape, Json::Obj(members)) => {
+                let closed = matches!(shape, Shape::Closed);
+                let known = |k: &String| R::LIST.iter().any(|f| f.key == k);
+                if let Some((k, _)) = members.iter().find(|(k, _)| closed && !known(k)) {
+                    return Err(format!("unknown {name} field `{k}` (schema drift)"));
+                }
+                R::LIST.iter().try_for_each(|f| match v.get(f.key) {
+                    Some(x) => fill(f, x),
+                    None if closed || f.at.is_none() || f.when.is_some() => Ok(()),
+                    None => Err(format!("{name} missing `{}`", f.key)),
+                })
+            }
+            _ => Err(format!("{name} is not an object")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot
 // ---------------------------------------------------------------------------
 
@@ -690,178 +869,60 @@ impl MetricEntry {
         per_sec(self.runs, self.wall_ns)
     }
 
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("section".to_string(), Json::Str(self.section.clone())),
-            ("workload".to_string(), Json::Str(self.workload.clone())),
-            ("design".to_string(), Json::Str(self.design.clone())),
-            ("runs".to_string(), Json::Num(self.runs as f64)),
-            ("sim_cycles".to_string(), Json::Num(self.sim_cycles as f64)),
-            (
-                "instrs_retired".to_string(),
-                Json::Num(self.instrs_retired as f64),
-            ),
-            ("commits".to_string(), Json::Num(self.commits as f64)),
-            ("aborts".to_string(), Json::Num(self.aborts as f64)),
-            ("wall_ns".to_string(), Json::Num(self.wall_ns as f64)),
-            (
-                "task_wall_min_ns".to_string(),
-                Json::Num(self.task_wall_min_ns as f64),
-            ),
-            (
-                "task_wall_max_ns".to_string(),
-                Json::Num(self.task_wall_max_ns as f64),
-            ),
-            (
-                "sim_cycles_per_sec".to_string(),
-                Json::Num(self.sim_cycles_per_sec()),
-            ),
-            (
-                "instrs_per_sec".to_string(),
-                Json::Num(self.instrs_per_sec()),
-            ),
-            ("runs_per_sec".to_string(), Json::Num(self.runs_per_sec())),
-        ];
-        // Native-runtime cells only: omitted entirely for simulator
-        // cells so existing v2 snapshots stay byte-identical.
-        if self.ops > 0 {
-            fields.push(("ops".to_string(), Json::Num(self.ops as f64)));
-            fields.push(("ns_per_op".to_string(), Json::Num(self.ns_per_op)));
-        }
-        // Analyzer cells only: same additive-schema rule as `ops`.
-        if self.sites_discovered > 0
+    /// Any analyzer counter is set (analyzer cells only).
+    fn analyzed(&self) -> bool {
+        self.sites_discovered > 0
             || self.cycles_enumerated > 0
             || self.masks_pruned > 0
             || self.oracle_runs > 0
-        {
-            fields.push((
-                "sites_discovered".to_string(),
-                Json::Num(self.sites_discovered as f64),
-            ));
-            fields.push((
-                "cycles_enumerated".to_string(),
-                Json::Num(self.cycles_enumerated as f64),
-            ));
-            fields.push((
-                "masks_pruned".to_string(),
-                Json::Num(self.masks_pruned as f64),
-            ));
-            fields.push((
-                "oracle_runs".to_string(),
-                Json::Num(self.oracle_runs as f64),
-            ));
-        }
-        let derived: Vec<(String, Json)> = self
-            .derived
-            .fields()
-            .iter()
-            .map(|&(name, v)| (name.to_string(), Json::Num(v)))
-            .collect();
-        fields.push(("derived".to_string(), Json::Obj(derived)));
-        let fences: Vec<Json> = self
-            .fences
-            .iter()
-            .map(|f| {
-                Json::Obj(vec![
-                    ("class".to_string(), Json::Str(f.class.clone())),
-                    ("issued".to_string(), Json::Num(f.issued as f64)),
-                    ("completed".to_string(), Json::Num(f.completed as f64)),
-                    ("p50".to_string(), Json::Num(f.p50 as f64)),
-                    ("p90".to_string(), Json::Num(f.p90 as f64)),
-                    ("p99".to_string(), Json::Num(f.p99 as f64)),
-                    ("max".to_string(), Json::Num(f.max as f64)),
-                    ("mean".to_string(), Json::Num(f.mean)),
-                ])
-            })
-            .collect();
-        fields.push(("fence_latency".to_string(), Json::Arr(fences)));
-        Json::Obj(fields)
     }
+}
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry missing string field `{k}`"))
-        };
-        let u64_field = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("entry missing integer field `{k}`"))
-        };
-        let mut e = MetricEntry::new(
-            &str_field("section")?,
-            &str_field("workload")?,
-            &str_field("design")?,
-        );
-        e.runs = u64_field("runs")?;
-        e.sim_cycles = u64_field("sim_cycles")?;
-        e.instrs_retired = u64_field("instrs_retired")?;
-        e.commits = u64_field("commits")?;
-        e.aborts = u64_field("aborts")?;
-        e.wall_ns = u64_field("wall_ns")?;
-        e.task_wall_min_ns = u64_field("task_wall_min_ns")?;
-        e.task_wall_max_ns = u64_field("task_wall_max_ns")?;
-        // Optional (additive in v2): present only on native-runtime cells.
-        e.ops = v.get("ops").and_then(Json::as_u64).unwrap_or(0);
-        e.ns_per_op = v.get("ns_per_op").and_then(Json::as_f64).unwrap_or(0.0);
-        // Optional (additive in v2): present only on analyzer cells.
-        e.sites_discovered = v
-            .get("sites_discovered")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        e.cycles_enumerated = v
-            .get("cycles_enumerated")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        e.masks_pruned = v.get("masks_pruned").and_then(Json::as_u64).unwrap_or(0);
-        e.oracle_runs = v.get("oracle_runs").and_then(Json::as_u64).unwrap_or(0);
-        let derived = v
-            .get("derived")
-            .ok_or("entry missing `derived`".to_string())?;
-        if let Json::Obj(fields) = derived {
-            for (name, val) in fields {
-                let val = val
-                    .as_f64()
-                    .ok_or_else(|| format!("derived field `{name}` is not a number"))?;
-                if !e.derived.set_field(name, val) {
-                    return Err(format!("unknown derived field `{name}` (schema drift)"));
-                }
-            }
-        } else {
-            return Err("`derived` is not an object".to_string());
-        }
-        for f in v
-            .get("fence_latency")
-            .and_then(Json::as_arr)
-            .ok_or("entry missing `fence_latency`".to_string())?
-        {
-            let get_u = |k: &str| -> Result<u64, String> {
-                f.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("fence_latency missing `{k}`"))
-            };
-            e.fences.push(FenceLatencySummary {
-                class: f
-                    .get("class")
-                    .and_then(Json::as_str)
-                    .ok_or("fence_latency missing `class`".to_string())?
-                    .to_string(),
-                issued: get_u("issued")?,
-                completed: get_u("completed")?,
-                p50: get_u("p50")?,
-                p90: get_u("p90")?,
-                p99: get_u("p99")?,
-                max: get_u("max")?,
-                mean: f
-                    .get("mean")
-                    .and_then(Json::as_f64)
-                    .ok_or("fence_latency missing `mean`".to_string())?,
-            });
-        }
-        Ok(e)
-    }
+impl Persisted for MetricEntry {
+    type Value = dyn Wire;
+    const NAME: &'static str = "entry";
+    const LIST: &'static [Field<Self>] = &[
+        field!("section", section),
+        field!("workload", workload),
+        field!("design", design),
+        field!("runs", runs),
+        field!("sim_cycles", sim_cycles),
+        field!("instrs_retired", instrs_retired),
+        field!("commits", commits),
+        field!("aborts", aborts),
+        field!("wall_ns", wall_ns),
+        field!("task_wall_min_ns", task_wall_min_ns),
+        field!("task_wall_max_ns", task_wall_max_ns),
+        Field::computed("sim_cycles_per_sec", |e| e.sim_cycles_per_sec().put()),
+        Field::computed("instrs_per_sec", |e| e.instrs_per_sec().put()),
+        Field::computed("runs_per_sec", |e| e.runs_per_sec().put()),
+        // Native-runtime cells only: omitted for simulator cells, so
+        // their v2 snapshots stay byte-identical.
+        field!("ops", ops, |e| e.ops > 0),
+        field!("ns_per_op", ns_per_op, |e| e.ops > 0),
+        // Analyzer cells only, under the same additive-schema rule.
+        field!("sites_discovered", sites_discovered, Self::analyzed),
+        field!("cycles_enumerated", cycles_enumerated, Self::analyzed),
+        field!("masks_pruned", masks_pruned, Self::analyzed),
+        field!("oracle_runs", oracle_runs, Self::analyzed),
+        field!("derived", derived),
+        field!("fence_latency", fences),
+    ];
+}
+
+impl Persisted for FenceLatencySummary {
+    type Value = dyn Wire;
+    const NAME: &'static str = "fence_latency";
+    const LIST: &'static [Field<Self>] = &[
+        field!("class", class),
+        field!("issued", issued),
+        field!("completed", completed),
+        field!("p50", p50),
+        field!("p90", p90),
+        field!("p99", p99),
+        field!("max", max),
+        field!("mean", mean),
+    ];
 }
 
 fn per_sec(count: u64, wall_ns: u64) -> f64 {
@@ -995,163 +1056,78 @@ impl BenchSnapshot {
     pub fn to_json(&self) -> String {
         // The shard block is the only v3 feature, so shard-free
         // snapshots keep writing v2 and their bytes never move.
-        let schema = if self.shard.is_some() {
-            SCHEMA_VERSION
-        } else {
-            MIN_SCHEMA_VERSION
+        let schema = match self.shard {
+            Some(_) => SCHEMA_VERSION,
+            None => MIN_SCHEMA_VERSION,
         };
-        let mut fields = vec![
-            ("schema".to_string(), Json::Num(schema as f64)),
-            ("label".to_string(), Json::Str(self.label.clone())),
-            ("deterministic".to_string(), Json::Bool(self.deterministic)),
-            ("quick".to_string(), Json::Bool(self.quick)),
-        ];
-        // Additive in v2: only native_bench snapshots carry a backend,
-        // so simulator snapshots stay byte-identical to older builds.
-        if let Some(b) = &self.backend {
-            fields.push(("backend".to_string(), Json::Str(b.clone())));
-        }
-        // Additive in v3: only merged sharded-sweep snapshots carry
-        // shard provenance.
-        if let Some(s) = &self.shard {
-            fields.push((
-                "shard".to_string(),
-                Json::Obj(vec![
-                    ("shards".to_string(), Json::Num(s.shards as f64)),
-                    ("resumes".to_string(), Json::Num(s.resumes as f64)),
-                    (
-                        "heartbeat_cells".to_string(),
-                        Json::Num(s.heartbeat_cells as f64),
-                    ),
-                ]),
-            ));
-        }
-        fields.extend([
-            (
-                "total_wall_ns".to_string(),
-                Json::Num(self.total_wall_ns as f64),
-            ),
-            (
-                "peak_rss_bytes".to_string(),
-                Json::Num(self.peak_rss_bytes as f64),
-            ),
-            (
-                "pool".to_string(),
-                Json::Obj(vec![
-                    ("acquires".to_string(), Json::Num(self.pool.acquires as f64)),
-                    ("reuses".to_string(), Json::Num(self.pool.reuses as f64)),
-                    ("builds".to_string(), Json::Num(self.pool.builds as f64)),
-                    (
-                        "bytes_reused".to_string(),
-                        Json::Num(self.pool.bytes_reused as f64),
-                    ),
-                ]),
-            ),
-            (
-                "phases".to_string(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|(name, ns)| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::Str(name.clone())),
-                                ("wall_ns".to_string(), Json::Num(*ns as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "entries".to_string(),
-                Json::Arr(self.entries.iter().map(MetricEntry::to_json).collect()),
-            ),
-        ]);
+        let mut fields = vec![("schema".to_string(), schema.put())];
+        self.put_fields(&mut fields);
         Json::Obj(fields).render()
     }
 
     /// Parses a snapshot previously written by [`BenchSnapshot::to_json`].
+    /// The schema version is checked first: it says whether the rest can
+    /// be read at all.
     pub fn parse(s: &str) -> Result<Self, String> {
         let v = Json::parse(s)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("snapshot missing `schema`".to_string())?;
+        let schema = v.get("schema").and_then(Json::as_u64);
+        let schema = schema.ok_or("snapshot missing `schema`")?;
         if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
             return Err(format!(
                 "schema version mismatch: file has {schema}, this build expects \
                  {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
             ));
         }
-        let mut snap = BenchSnapshot::new(
-            v.get("label")
-                .and_then(Json::as_str)
-                .ok_or("snapshot missing `label`".to_string())?,
-        );
-        snap.deterministic = v
-            .get("deterministic")
-            .and_then(Json::as_bool)
-            .ok_or("snapshot missing `deterministic`".to_string())?;
-        snap.quick = v
-            .get("quick")
-            .and_then(Json::as_bool)
-            .ok_or("snapshot missing `quick`".to_string())?;
-        snap.backend = v.get("backend").and_then(Json::as_str).map(str::to_string);
-        if let Some(s) = v.get("shard") {
-            let shard_u = |name: &str| -> Result<u64, String> {
-                s.get(name)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("shard missing `{name}`"))
-            };
-            snap.shard = Some(ShardTelemetry {
-                shards: shard_u("shards")?,
-                resumes: shard_u("resumes")?,
-                heartbeat_cells: shard_u("heartbeat_cells")?,
-            });
-        }
-        snap.total_wall_ns = v
-            .get("total_wall_ns")
-            .and_then(Json::as_u64)
-            .ok_or("snapshot missing `total_wall_ns`".to_string())?;
-        snap.peak_rss_bytes = v
-            .get("peak_rss_bytes")
-            .and_then(Json::as_u64)
-            .ok_or("snapshot missing `peak_rss_bytes`".to_string())?;
-        let pool = v.get("pool").ok_or("snapshot missing `pool`".to_string())?;
-        let pool_u = |name: &str| -> Result<u64, String> {
-            pool.get(name)
-                .and_then(Json::as_u64)
-                .ok_or(format!("pool missing `{name}`"))
-        };
-        snap.pool = PoolTelemetry {
-            acquires: pool_u("acquires")?,
-            reuses: pool_u("reuses")?,
-            builds: pool_u("builds")?,
-            bytes_reused: pool_u("bytes_reused")?,
-        };
-        for p in v
-            .get("phases")
-            .and_then(Json::as_arr)
-            .ok_or("snapshot missing `phases`".to_string())?
-        {
-            snap.phases.push((
-                p.get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("phase missing `name`".to_string())?
-                    .to_string(),
-                p.get("wall_ns")
-                    .and_then(Json::as_u64)
-                    .ok_or("phase missing `wall_ns`".to_string())?,
-            ));
-        }
-        for e in v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("snapshot missing `entries`".to_string())?
-        {
-            snap.entries.push(MetricEntry::from_json(e)?);
-        }
-        Ok(snap)
+        Self::read(&v)
     }
+}
+
+impl Persisted for BenchSnapshot {
+    type Value = dyn Wire;
+    const NAME: &'static str = "snapshot";
+    const LIST: &'static [Field<Self>] = &[
+        field!("label", label),
+        field!("deterministic", deterministic),
+        field!("quick", quick),
+        // Additive in v2: only native_bench snapshots carry a backend.
+        field!("backend", backend, |s| s.backend.is_some()),
+        // Additive in v3: only merged sharded-sweep snapshots carry
+        // shard provenance.
+        field!("shard", shard, |s| s.shard.is_some()),
+        field!("total_wall_ns", total_wall_ns),
+        field!("peak_rss_bytes", peak_rss_bytes),
+        field!("pool", pool),
+        field!("phases", phases),
+        field!("entries", entries),
+    ];
+}
+
+impl Persisted for PoolTelemetry {
+    type Value = dyn Wire;
+    const NAME: &'static str = "pool";
+    const LIST: &'static [Field<Self>] = &[
+        field!("acquires", acquires),
+        field!("reuses", reuses),
+        field!("builds", builds),
+        field!("bytes_reused", bytes_reused),
+    ];
+}
+
+impl Persisted for ShardTelemetry {
+    type Value = dyn Wire;
+    const NAME: &'static str = "shard";
+    const LIST: &'static [Field<Self>] = &[
+        field!("shards", shards),
+        field!("resumes", resumes),
+        field!("heartbeat_cells", heartbeat_cells),
+    ];
+}
+
+/// One `(phase, wall_ns)` of [`BenchSnapshot::phases`].
+impl Persisted for (String, u64) {
+    type Value = dyn Wire;
+    const NAME: &'static str = "phase";
+    const LIST: &'static [Field<Self>] = &[field!("name", 0), field!("wall_ns", 1)];
 }
 
 // ---------------------------------------------------------------------------

@@ -386,6 +386,13 @@ impl<T> Ring<T> {
     fn len(&self) -> usize {
         self.buf.len()
     }
+
+    /// Empties the ring, keeping its allocation.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.next = 0;
+        self.dropped = 0;
+    }
 }
 
 /// A fence episode between its issue and its completion (or rollback).
@@ -582,6 +589,19 @@ impl TraceSink {
             unattributed_bounces: 0,
             recorded: 0,
         }
+    }
+
+    /// Empties the sink for a new run under `design`: the state
+    /// [`TraceSink::with_capacity`] gives, but both rings keep their
+    /// allocations, so a pooled machine's traced reruns do not re-grow
+    /// them.
+    pub fn clear(&mut self, design: FenceDesign) {
+        self.design = design;
+        self.events.clear();
+        self.spans.clear();
+        self.tallies = Default::default();
+        self.unattributed_bounces = 0;
+        self.recorded = 0;
     }
 
     /// The fence design stamped on this trace.

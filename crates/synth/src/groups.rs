@@ -282,4 +282,31 @@ mod tests {
         assert_eq!(structural_reject(FenceDesign::WPlus, &groups, 0b1111), None);
         assert_eq!(structural_reject(FenceDesign::Wee, &groups, 0b1111), None);
     }
+
+    /// The WS+/SW+ grouping rule lives in three places: the explorer's
+    /// per-thread roles, the simulator's role rule, and the structural
+    /// pruning here. Every role vector the explorer assigns to an
+    /// n-thread fenced scenario must weaken a mask this pruning admits
+    /// for the one group of all n fences. n = 1 differs on purpose: a
+    /// lone fence forms no group, so `roles_for` leaves SW+'s only fence
+    /// weak, which the group check would reject as "no strong fence".
+    #[test]
+    fn explorer_roles_are_structurally_admissible() {
+        use asymfence_explore::{Scenario, ALL_DESIGNS};
+        for design in ALL_DESIGNS {
+            for n in 2..=4 {
+                let mask = Scenario::roles_for(design, n)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, role)| role.is_weak_under(design))
+                    .fold(0u64, |m, (i, _)| m | 1 << i);
+                let group = vec![(0..n).collect::<Vec<_>>()];
+                assert_eq!(
+                    structural_reject(design, &group, mask),
+                    None,
+                    "{design:?}, {n} threads, weak mask {mask:#b}"
+                );
+            }
+        }
+    }
 }
